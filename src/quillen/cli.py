@@ -12,7 +12,7 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from typing import Optional
 
 from . import constructions as cs
@@ -123,60 +123,64 @@ def _red(*agrees_values) -> int:
 
 # -- subcommands --------------------------------------------------------
 
-def cmd_quillen(args) -> int:
+@contextmanager
+def _timer(timings: dict, key: str):
+    t0 = time.perf_counter()
+    yield
+    timings[key] = time.perf_counter() - t0
+
+
+def _group_command(args, command: str, run) -> int:
+    """Shared frame of the group subcommands: require the prime, build
+    the group, run ``run(G, p, timings) -> (analyses, exit code)``, add
+    the group statistics and emit the report; each stage is timed."""
     p = _require_prime(args)
     timings = {}
-    t0 = time.perf_counter()
-    echo, G = _load_group(args)
-    timings["build"] = time.perf_counter() - t0
+    with _timer(timings, "build"):
+        echo, G = _load_group(args)
+    analyses, code = run(G, p, timings)
+    with _timer(timings, "stats"):
+        stats = group_stats(G, p)
+    report = AnalysisReport(command, echo, stats, analyses, timings)
+    return _finish(report, args, code)
 
-    t0 = time.perf_counter()
-    P = ps.quillen_poset(G, p)
-    C = ps.order_complex(P)
-    timings["complex"] = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    prof = reduced_homology(C)
-    timings["homology"] = time.perf_counter() - t0
 
-    analyses = {"quillen": {"poset_nodes": len(P), "dim": C.dim,
-                            "profile": prof.to_json()}}
-    brown_agrees = None
-    if args.brown:
-        t0 = time.perf_counter()
-        # the homotopy equivalence with the torus complex holds for the
-        # poset of ALL nontrivial p-subgroups (whole group included when
-        # G itself is a p-group)
-        B = ps.order_complex(ps.brown_poset(G, p,
-                                            include_whole_group=True))
-        bprof = reduced_homology(B)
-        timings["brown"] = time.perf_counter() - t0
-        brown_agrees = bprof == prof
-        analyses["brown"] = {"dim": B.dim, "profile": bprof.to_json(),
-                             "profiles_equal": brown_agrees}
-    if args.export_complex:
-        with open(args.export_complex, "w") as fh:
-            fh.write(C.export_text())
-        analyses["quillen"]["exported_to"] = args.export_complex
-
-    report = AnalysisReport("quillen", echo, group_stats(G, p),
-                            analyses, timings)
-    return _finish(report, args, _red(brown_agrees))
+def cmd_quillen(args) -> int:
+    def run(G, p, timings):
+        with _timer(timings, "complex"):
+            P = ps.quillen_poset(G, p)
+            C = ps.order_complex(P)
+        with _timer(timings, "homology"):
+            prof = reduced_homology(C)
+        analyses = {"quillen": {"poset_nodes": len(P), "dim": C.dim,
+                                "profile": prof.to_json()}}
+        brown_agrees = None
+        if args.brown:
+            with _timer(timings, "brown"):
+                # the homotopy equivalence with the torus complex holds
+                # for the poset of ALL nontrivial p-subgroups (whole
+                # group included when G itself is a p-group)
+                B = ps.order_complex(ps.brown_poset(
+                    G, p, include_whole_group=True))
+                bprof = reduced_homology(B)
+            brown_agrees = bprof == prof
+            analyses["brown"] = {"dim": B.dim, "profile": bprof.to_json(),
+                                 "profiles_equal": brown_agrees}
+        if args.export_complex:
+            with open(args.export_complex, "w") as fh:
+                fh.write(C.export_text())
+            analyses["quillen"]["exported_to"] = args.export_complex
+        return analyses, _red(brown_agrees)
+    return _group_command(args, "quillen", run)
 
 
 def cmd_cm_check(args) -> int:
-    p = _require_prime(args)
-    timings = {}
-    t0 = time.perf_counter()
-    echo, G = _load_group(args)
-    timings["build"] = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    C = ps.order_complex(ps.quillen_poset(G, p))
-    cm = is_cohen_macaulay(C)
-    timings["cm_check"] = time.perf_counter() - t0
-    analyses = {"cohen_macaulay": cm.to_json(), "dim": C.dim}
-    report = AnalysisReport("cm-check", echo, group_stats(G, p),
-                            analyses, timings)
-    return _finish(report, args, EXIT_OK)
+    def run(G, p, timings):
+        with _timer(timings, "cm_check"):
+            C = ps.order_complex(ps.quillen_poset(G, p))
+            cm = is_cohen_macaulay(C)
+        return {"cohen_macaulay": cm.to_json(), "dim": C.dim}, EXIT_OK
+    return _group_command(args, "cm-check", run)
 
 
 def _decompose_sylow(G: Group, p: int) -> th.StructureReport:
@@ -188,27 +192,19 @@ def _decompose_sylow(G: Group, p: int) -> th.StructureReport:
 
 
 def cmd_decompose(args) -> int:
-    p = _require_prime(args)
-    timings = {}
-    t0 = time.perf_counter()
-    echo, G = _load_group(args)
-    timings["build"] = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    try:
-        rep = _decompose_sylow(G, p)
-        analyses = {"structure": rep.to_json(),
-                    "all_checks_pass": rep.all_checks_pass()}
-        code = _red(rep.all_checks_pass())
-    except DecompositionNotFound as e:
-        # a guaranteed decomposition that cannot be exhibited is a
-        # red-alert finding, not an input error
-        analyses = {"structure": None, "all_checks_pass": False,
-                    "error": str(e)}
-        code = EXIT_RED_ALERT
-    timings["decompose"] = time.perf_counter() - t0
-    report = AnalysisReport("decompose", echo, group_stats(G, p),
-                            analyses, timings)
-    return _finish(report, args, code)
+    def run(G, p, timings):
+        with _timer(timings, "decompose"):
+            try:
+                rep = _decompose_sylow(G, p)
+            except DecompositionNotFound as e:
+                # a guaranteed decomposition that cannot be exhibited is
+                # a red-alert finding, not an input error
+                return {"structure": None, "all_checks_pass": False,
+                        "error": str(e)}, EXIT_RED_ALERT
+        return {"structure": rep.to_json(),
+                "all_checks_pass": rep.all_checks_pass()}, \
+            _red(rep.all_checks_pass())
+    return _group_command(args, "decompose", run)
 
 
 def _resolve_above(P, p: int, selector: str):
@@ -231,63 +227,40 @@ def _resolve_above(P, p: int, selector: str):
 
 
 def cmd_upper_interval(args) -> int:
-    p = _require_prime(args)
-    timings = {}
-    t0 = time.perf_counter()
-    echo, G = _load_group(args)
-    timings["build"] = time.perf_counter() - t0
-    P = gp.sylow_subgroup(G, p)
-    X = _resolve_above(P, p, args.above)
-    t0 = time.perf_counter()
-    verdict = th.upper_interval_check(P, p, X)
-    timings["interval"] = time.perf_counter() - t0
-    analyses = {"upper_interval": verdict.to_json(),
-                "above": {"selector": args.above, "order": X.order}}
-    report = AnalysisReport("upper-interval", echo, group_stats(G, p),
-                            analyses, timings)
-    return _finish(report, args, _red(verdict.agrees))
+    def run(G, p, timings):
+        P = gp.sylow_subgroup(G, p)
+        X = _resolve_above(P, p, args.above)
+        with _timer(timings, "interval"):
+            verdict = th.upper_interval_check(P, p, X)
+        return {"upper_interval": verdict.to_json(),
+                "above": {"selector": args.above, "order": X.order}}, \
+            _red(verdict.agrees)
+    return _group_command(args, "upper-interval", run)
+
+
+def _verdict_command(args, command: str, key: str, analysis: str,
+                     check) -> int:
+    """A group subcommand whose whole analysis is one theorem check."""
+    def run(G, p, timings):
+        with _timer(timings, key):
+            verdict = check(G, p)
+        return {analysis: verdict.to_json()}, _red(verdict.agrees)
+    return _group_command(args, command, run)
 
 
 def cmd_pw_verify(args) -> int:
-    p = _require_prime(args)
-    timings = {}
-    t0 = time.perf_counter()
-    echo, G = _load_group(args)
-    timings["build"] = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    verdict = th.verify_pulkus_welker(G, p)
-    timings["verify"] = time.perf_counter() - t0
-    report = AnalysisReport("pw-verify", echo, group_stats(G, p),
-                            {"wedge_formula": verdict.to_json()}, timings)
-    return _finish(report, args, _red(verdict.agrees))
+    return _verdict_command(args, "pw-verify", "verify", "wedge_formula",
+                            th.verify_pulkus_welker)
 
 
 def cmd_plength(args) -> int:
-    p = _require_prime(args)
-    timings = {}
-    t0 = time.perf_counter()
-    echo, G = _load_group(args)
-    timings["build"] = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    verdict = th.p_length_bound_check(G, p)
-    timings["plength"] = time.perf_counter() - t0
-    report = AnalysisReport("plength", echo, group_stats(G, p),
-                            {"p_length": verdict.to_json()}, timings)
-    return _finish(report, args, _red(verdict.agrees))
+    return _verdict_command(args, "plength", "plength", "p_length",
+                            th.p_length_bound_check)
 
 
 def cmd_main_check(args) -> int:
-    p = _require_prime(args)
-    timings = {}
-    t0 = time.perf_counter()
-    echo, G = _load_group(args)
-    timings["build"] = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    verdict = th.main_theorem_check(G, p)
-    timings["main"] = time.perf_counter() - t0
-    report = AnalysisReport("main-check", echo, group_stats(G, p),
-                            {"main_theorem": verdict.to_json()}, timings)
-    return _finish(report, args, _red(verdict.agrees))
+    return _verdict_command(args, "main-check", "main", "main_theorem",
+                            th.main_theorem_check)
 
 
 def cmd_homology(args) -> int:
@@ -322,12 +295,14 @@ def _run_instance(inst: dict, max_order: Optional[int]) -> dict:
     timings = {}
     out = {"name": name, "prime": p, "results": results,
            "timings": timings}
+    t0 = time.perf_counter()
     try:
         G = cs.catalog_group(name)
     except QuillenError as e:
         results["build"] = {"agrees": False,
                             "error": f"{type(e).__name__}: {e}"}
         return out
+    timings["build"] = round(time.perf_counter() - t0, 3)
     if max_order and G.order > max_order:
         out["skipped"] = f"order {G.order} exceeds --max-order {max_order}"
         del out["results"], out["timings"]
@@ -419,12 +394,7 @@ def cmd_suite(args) -> int:
         if bad:
             raise InvalidSpec(f"unknown checks in manifest: {bad}")
 
-    if args.jobs > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as ex:
-            rows = list(ex.map(
-                lambda i: _run_instance(i, args.max_order), instances))
-    else:
-        rows = [_run_instance(i, args.max_order) for i in instances]
+    rows = [_run_instance(i, args.max_order) for i in instances]
 
     failures = []
     for row in rows:
@@ -526,8 +496,6 @@ def _build_parser() -> argparse.ArgumentParser:
     s.add_argument("--manifest", help="alternate suite manifest path")
     s.add_argument("--only", action="append",
                    help="restrict to this catalog name (repeatable)")
-    s.add_argument("--jobs", type=int, default=1,
-                   help="worker threads (results are unaffected)")
     s.add_argument("--max-order", type=int, default=0,
                    help="skip instances larger than this order")
     s.set_defaults(func=cmd_suite)

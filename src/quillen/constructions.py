@@ -9,9 +9,8 @@ used in its ``provenance`` field).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .errors import (
     ActionNotHomomorphism,
@@ -637,7 +636,6 @@ def _c34_sd16c4_spec() -> GroupSpec:
     # (multiplication by a square root of -1 in F_9).  The action is
     # faithful, so the group has no nontrivial normal 2-subgroup.
     x, z = _gl23_pair(8, 3)
-    i2 = ((1, 0), (0, 1))
     # F_9 = F_3[w], w^2 = -1; scalar w on F_9^2 in F_3^4 coordinates
     # (a + bw per F_9 entry): w * (a + bw) = -b + aw
     w = [[0, 2, 0, 0], [1, 0, 0, 0], [0, 0, 0, 2], [0, 0, 1, 0]]
@@ -765,8 +763,7 @@ _GROUP_CACHE: dict = {}
 def catalog_group(name: str) -> Group:
     """Build (and memoize) a catalog group by name."""
     spec = catalog(name)
-    key = spec.to_json() if hasattr(spec, "to_json") else repr(spec)
-    key = str(key)
+    key = str(spec.to_json())
     if key not in _GROUP_CACHE:
         _GROUP_CACHE[key] = build(spec)
     return _GROUP_CACHE[key]

@@ -10,8 +10,7 @@ desk scale.  Subgroups are immutable member-id sets inside a parent group.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from functools import lru_cache
+from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 import numpy as np

@@ -12,8 +12,7 @@ from contractibility at this level; reports carry that caveat.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .poset import SimplicialComplex
@@ -241,11 +240,10 @@ class HomologyProfile:
     def __eq__(self, other):
         if not isinstance(other, HomologyProfile):
             return NotImplemented
-        lo = min(-1, -1)
         hi = max(self.dim, other.dim)
         return all(self.betti_of(q) == other.betti_of(q)
                    and self.torsion_of(q) == other.torsion_of(q)
-                   for q in range(lo, hi + 1))
+                   for q in range(-1, hi + 1))
 
     def __hash__(self):
         return hash((self.nonzero_degrees(),))

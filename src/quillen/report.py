@@ -74,8 +74,9 @@ def group_stats(G: Group, p: Optional[int] = None) -> dict:
         P = gp.sylow_subgroup(G, p)
         stats["sylow_order"] = P.order
         stats["sylow_abelian"] = gp.is_abelian(P)
-        stats["sylow_derived_order"] = gp.derived_subgroup(P).order
-        stats["sylow_derived_cyclic"] = gp.is_cyclic(gp.derived_subgroup(P))
+        Pp = gp.derived_subgroup(P)
+        stats["sylow_derived_order"] = Pp.order
+        stats["sylow_derived_cyclic"] = gp.is_cyclic(Pp)
         stats["sylow_rank"] = gp.rank(P, p)
         stats["o_p_order"] = gp.o_p(G, p).order
         stats["o_p_prime_order"] = gp.o_p_prime(G, p).order

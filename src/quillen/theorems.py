@@ -11,7 +11,7 @@ implementation bugs surface symmetrically.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from . import group as gp
@@ -102,18 +102,23 @@ def _subgroup_as_group(S: Subgroup, label: str = "") -> Group:
         table, cap=max(gp.DEFAULT_ELEMENT_CAP, S.order), label=label)
 
 
-def _complement_in_torus(Z: Subgroup, W: Subgroup) -> Subgroup:
-    """Complement of W in the elementary abelian group Z (W <= Z)."""
-    G = Z.parent
-    cur = {G.identity}
-    for z in Z.members:
-        if z in cur:
+def _greedy_complement(ambient: Subgroup, W: Subgroup,
+                       start: Subgroup) -> Subgroup:
+    """Subgroup K between ``start`` and ``ambient`` with K·W = ambient and
+    K ∩ W = start ∩ W (W <= ambient), grown greedily from ``start``
+    through the members of ``ambient``.  Callers pass an elementary
+    abelian ambient/start, where subgroups correspond to subspaces."""
+    G = ambient.parent
+    k = len(start.member_set & W.member_set)
+    cur = set(start.members)
+    for a in ambient.members:
+        if a in cur:
             continue
-        cand = G.closure(cur | {z})
-        if len(cand & W.member_set) == 1:
+        cand = G.closure(cur | {a})
+        if len(cand & W.member_set) == k:
             cur = set(cand)
-    if len(cur) * W.order != Z.order:
-        raise DecompositionNotFound("no complement in elementary abelian")
+    if len(cur) * W.order != ambient.order * k:
+        raise DecompositionNotFound("no greedy complement")
     return Subgroup(G, cur)
 
 
@@ -216,7 +221,7 @@ def classify_odd_p_group(P, p: int) -> StructureReport:
                                checks=checks, **base)
 
     Z = gp.center(P)
-    A = _complement_in_torus(Z, Pp)
+    A = _greedy_complement(Z, Pp, G.trivial_subgroup())
     E = _central_split(P, p)
     checks = (
         ("|P'| = p", Pp.order == p),
@@ -310,26 +315,18 @@ def decompose_2group(P) -> StructureReport:
         return StructureReport(case="two_group_TD", T=T, T_type="trivial",
                                D=P, E=E, checks=checks, **base)
 
+    # any valid D is C_P(T): Z(T) is the order-2 subgroup of the cyclic
+    # P', hence central and inside D, so |D| = 2|P|/|T|; D <= C_P(T), and
+    # T ∩ C_P(T) = Z(T) bounds |C_P(T)| by the same number
     for T, ttype in _candidate_T(P, Pp):
-        CT = gp.centralizer(P, T)
-        for dm in gp.all_subgroups(G, within=CT):
-            D = Subgroup(G, dm)
-            if not Zo <= D:
-                continue
-            inter = len(T.member_set & D.member_set)
-            if inter > 2 or T.order * D.order // inter != P.order:
-                continue
-            if _set_product(T, D) != P.member_set:
-                continue
-            if not (gp.is_normal(T, P) and gp.is_normal(D, P)):
-                continue
-            E = _split_D(D)
-            if E is None:
-                continue
-            checks = _td_checks(P, T, D, E, Zo)
-            if all(ok for _, ok in checks):
-                return StructureReport(case="two_group_TD", T=T, T_type=ttype,
-                                       D=D, E=E, checks=checks, **base)
+        D = gp.centralizer(P, T)
+        E = _split_D(D)
+        if E is None:
+            continue
+        checks = _td_checks(P, T, D, E, Zo)
+        if all(ok for _, ok in checks):
+            return StructureReport(case="two_group_TD", T=T, T_type=ttype,
+                                   D=D, E=E, checks=checks, **base)
     raise DecompositionNotFound(
         f"no TD decomposition for 2-group of order {P.order} "
         f"with |P'| = {Pp.order}")
@@ -337,11 +334,11 @@ def decompose_2group(P) -> StructureReport:
 
 def _td_checks(P, T, D, E, Zo) -> tuple:
     """Independent re-verification of every TD-decomposition invariant."""
+    CT = gp.centralizer(P, T).member_set
     return (
         ("T normal in P", T.order == 1 or gp.is_normal(T, P)),
         ("D normal in P", gp.is_normal(D, P)),
-        ("[T,D] = 1", all(d in gp.centralizer(P, T).member_set
-                          for d in D.members)),
+        ("[T,D] = 1", all(d in CT for d in D.members)),
         ("|T∩D| <= 2", len(T.member_set & D.member_set) <= 2),
         ("T·D = P", _set_product(T, D) == P.member_set),
         ("Omega1(Z(P)) <= D", Zo <= D),
@@ -353,26 +350,6 @@ def _td_checks(P, T, D, E, Zo) -> tuple:
 
 
 # -- upper-interval predictions -----------------------------------------
-
-def _orthogonal_complement(P: Subgroup, X: Subgroup, p: int) -> Subgroup:
-    """For extraspecial P with Z(P) <= X: subgroup P2 with
-    C_P(X) = P2·X and P2 ∩ X = Z(P), built greedily inside C_P(X)
-    (subgroups between Z and C correspond to subspaces of C/Z)."""
-    G = P.parent
-    C = gp.centralizer(P, X)
-    Z = gp.center(P)
-    cur = set(Z.members)
-    for c in C.members:
-        if c in cur:
-            continue
-        cand = G.closure(cur | {c})
-        if len(cand & X.member_set) == Z.order:
-            cur = set(cand)
-    P2 = Subgroup(G, cur)
-    if P2.order * X.order != C.order * Z.order:
-        raise DecompositionNotFound("no complement of X/Z in C_P(X)/Z")
-    return P2
-
 
 def _interval_of(G: Group, p: int, within: Subgroup,
                  X: Subgroup) -> ps.SubgroupPoset:
@@ -420,7 +397,7 @@ def upper_interval_check(P, p: int, X) -> TheoremVerdict:
     if gp.is_extraspecial(P, p) and Z <= X:
         # orthogonal-complement reduction: the interval above X is
         # isomorphic to the interval above the center of P2
-        P2 = _orthogonal_complement(P, X, p)
+        P2 = _greedy_complement(gp.centralizer(P, X), X, Z)
         rk2 = gp.rank(P2, p)
         r = rk2 - 2
         I2 = _interval_of(G, p, P2, Z)
@@ -440,14 +417,16 @@ def upper_interval_check(P, p: int, X) -> TheoremVerdict:
     if (p == 2 and gp.is_cyclic(Z) and Z.order >= 4
             and X.member_set == gp.omega1(Z, 2).member_set
             and O.member_set == P.member_set):
-        for dm in gp.all_subgroups(G, within=P):
-            D = Subgroup(G, dm)
-            if not gp.is_extraspecial(D, 2):
-                continue
-            if gp.center(D).member_set != X.member_set:
-                continue
-            if _set_product(Z, D) != P.member_set:
-                continue
+        try:
+            D = _central_split(P, 2)
+        except DecompositionNotFound:
+            D = None
+        if (D is not None and gp.is_extraspecial(D, 2)
+                and gp.center(D).member_set == X.member_set
+                and _set_product(Z, D) == P.member_set):
+            # any such D has |D| = 2|P|/|Z|, and Ab(D) above X is the
+            # poset of isotropic subspaces of the symplectic form on D/X,
+            # so the prediction does not depend on which D is found
             n = (D.order.bit_length() - 2) // 2  # |D| = 2^(2n+1)
             r = n - 1
             AbD = ps.ab_poset(D)
@@ -576,8 +555,8 @@ def p_length_bound_check(G: Group, p: int) -> TheoremVerdict:
     H = gp.o_p_prime(G, p)
     if ell == 2 and H.order == 1 and p < 5:
         N = gp.o_p(G, p)
-        g = next(x for x in range(G.order)
-                 if x not in gp.normalizer(G.full(), P).member_set)
+        NP = gp.normalizer(G.full(), P).member_set
+        g = next(x for x in range(G.order) if x not in NP)
         Pg = gp.conjugate_subgroup(P, g)
         S = gp.subgroup_generated(G, set(P.generator_witness)
                                   | set(Pg.generator_witness))

@@ -2,13 +2,16 @@
 predictions, the wedge formula, p-length bounds, and the main pipeline,
 on small catalog instances."""
 
+import json
+
 import pytest
 
 from quillen import constructions as cs
 from quillen import group as gp
 from quillen import poset as ps
 from quillen import theorems as th
-from quillen.errors import HypothesisViolated, PreconditionFailed
+from quillen.errors import (DecompositionNotFound, HypothesisViolated,
+                            PreconditionFailed)
 from quillen.homology import reduced_homology
 
 
@@ -94,6 +97,39 @@ def test_decompose_omega1_of_sd16():
     assert rep.all_checks_pass()
 
 
+def _search_accepts(P, T, D, Zo):
+    """Whether the exhaustive D search that decompose_2group used to run
+    would accept D: its pre-filters, then the split and the checks."""
+    inter = len(T.member_set & D.member_set)
+    if not Zo <= D or inter > 2 or T.order * D.order // inter != P.order:
+        return False
+    if th._set_product(T, D) != P.member_set:
+        return False
+    if not (gp.is_normal(T, P) and gp.is_normal(D, P)):
+        return False
+    E = th._split_D(D)
+    return E is not None and all(
+        ok for _, ok in th._td_checks(P, T, D, E, Zo))
+
+
+@pytest.mark.parametrize("name", ["D16", "D16xC2", "SD16oC4", "C3:(D16xC2)"])
+def test_decompose_d_is_the_centralizer(name):
+    # the subgroup search is the oracle: for every candidate T it finds
+    # C_P(T) alone or nothing
+    G = G_of(name)
+    P = gp.omega1(gp.sylow_subgroup(G, 2), 2)
+    Zo = gp.omega1(gp.center(P), 2)
+    cands = th._candidate_T(P, gp.derived_subgroup(P))
+    assert cands
+    for T, _ in cands:
+        CT = gp.centralizer(P, T)
+        accepted = [dm for dm in gp.all_subgroups(G, within=CT)
+                    if _search_accepts(P, T, gp.Subgroup(G, dm), Zo)]
+        assert accepted in ([], [CT.member_set])
+    rep = th.decompose_2group(P)
+    assert rep.D == gp.centralizer(P, rep.T)
+
+
 def test_decompose_rejects_bad_hypotheses():
     with pytest.raises(HypothesisViolated):
         th.decompose_2group(G_of("C3xC3").full())
@@ -177,6 +213,54 @@ def test_interval_cyclic_central_product():
     v = th.upper_interval_check(G.full(), 2, X)
     assert v.claim == "interval-cyclic-central-product"
     assert v.agrees is True
+
+
+def _search_central_split(P, p):
+    """The exhaustive search for D with P = Z(P)·D that the
+    cyclic-central-product branch used to run, kept as its oracle."""
+    G = P.parent
+    Z = gp.center(P)
+    X = gp.omega1(Z, p)
+    for dm in gp.all_subgroups(G, within=P):
+        D = gp.Subgroup(G, dm)
+        if (gp.is_extraspecial(D, p)
+                and gp.center(D).member_set == X.member_set
+                and th._set_product(Z, D) == P.member_set):
+            return D
+    raise DecompositionNotFound("no extraspecial D")
+
+
+Q8_C4 = cs.GroupSpec("central_product",
+                     {"a": cs.GroupSpec("quaternion", {"order": 8}),
+                      "b": cs.GroupSpec("cyclic", {"order": 4}),
+                      "order": 2})
+
+
+@pytest.mark.parametrize("spec", [cs.catalog("D8oC4"), Q8_C4],
+                         ids=["D8oC4", "Q8oC4"])
+def test_interval_central_split_matches_search(spec, monkeypatch):
+    G = cs.build(spec)
+    X = gp.omega1(gp.center(G.full()), 2)
+    fast = th.upper_interval_check(G.full(), 2, X).to_json()
+    monkeypatch.setattr(th, "_central_split", _search_central_split)
+    slow = th.upper_interval_check(G.full(), 2, X).to_json()
+    assert fast["claim"] == "interval-cyclic-central-product"
+    assert json.dumps(fast, sort_keys=True) == json.dumps(slow, sort_keys=True)
+
+
+def test_interval_cyclic_central_product_rank_two():
+    G = cs.build(cs.GroupSpec("central_product",
+                              {"a": cs.catalog("D8oD8"),
+                               "b": cs.GroupSpec("cyclic", {"order": 4}),
+                               "order": 2}))
+    X = gp.omega1(gp.center(G.full()), 2)
+    v = th.upper_interval_check(G.full(), 2, X)
+    assert v.claim == "interval-cyclic-central-product"
+    assert v.agrees is True
+    assert "|D| = 32" in v.predicted
+    assert v.computed["reduction_nodes"] == 30
+    assert v.profile.nonzero_degrees() == (1,)
+    assert v.profile.betti_of(1) == 16
 
 
 def test_interval_omega_center_route():
