@@ -30,9 +30,13 @@ HOMOLOGY_PROXY_CAVEAT = (
 def smith_normal_form(matrix) -> tuple:
     """Invariant factors (d1 | d2 | ... | dr, all > 0) and rank of an
     integer matrix.  Accepts a dense row-list or a dict {(i, j): value}.
+
+    +-1 pivots are eliminated first (`_unit_pivots`); only the residual
+    they leave goes through the Euclidean engine (`_eliminate`).
     """
     rows = _to_sparse(matrix)
-    diag = _eliminate(rows)
+    units = _unit_pivots(rows)
+    diag = [1] * units + _eliminate(rows)
     return _invariant_factors(diag), len(diag)
 
 
@@ -48,6 +52,58 @@ def _to_sparse(matrix) -> dict:
             if v:
                 rows.setdefault(i, {})[j] = int(v)
     return rows
+
+
+def _unit_pivots(rows: dict) -> int:
+    """Eliminate +-1 pivots from a sparse row dict in place; return how
+    many were taken, each an invariant factor 1.
+
+    A unit pivot clears its column by unimodular row operations with
+    exact integer coefficients (1/v = v for v = +-1); its row and column
+    are then dropped, so `rows` is left holding the Schur complement.
+    Columns are swept shortest first, and in each the +-1 entry of the
+    shortest row is taken; sweeps repeat until one finds no +-1 entry
+    (Dumas-Saunders-Villard, JSC 2001).
+    """
+    cols = {}
+    for i, r in rows.items():
+        for j in r:
+            cols.setdefault(j, set()).add(i)
+    units = 0
+    swept = True
+    while swept:
+        swept = False
+        for j in sorted(cols, key=lambda j: len(cols[j])):
+            col = cols.get(j)
+            if not col:
+                continue
+            pivot = min((i for i in col if rows[i][j] in (1, -1)),
+                        key=lambda i: (len(rows[i]), i), default=None)
+            if pivot is None:
+                continue
+            prow = rows.pop(pivot)
+            pv = prow[j]
+            for jj in prow:
+                cols[jj].discard(pivot)
+            for i in col:
+                r = rows[i]
+                c = r[j] * pv  # r[j] / pv, exactly
+                for jj, v in prow.items():
+                    nv = r.get(jj, 0) - c * v
+                    if nv:
+                        if jj not in r:
+                            cols[jj].add(i)
+                        r[jj] = nv
+                    elif jj in r:
+                        del r[jj]
+                        if jj != j:  # col is being iterated; dropped below
+                            cols[jj].discard(i)
+                if not r:
+                    del rows[i]
+            del cols[j]
+            units += 1
+            swept = True
+    return units
 
 
 def _eliminate(rows: dict) -> list:

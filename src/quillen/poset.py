@@ -153,13 +153,20 @@ class SimplicialComplex:
         self.vertices = sorted(set().union(*simps)) if simps else []
         self.labels = labels
         self.dim = max((len(s) for s in simps), default=0) - 1
+        self._by_dim = None  # dim -> sorted tuple, built on first query
 
     def n_simplices(self, k: int) -> int:
-        return sum(1 for s in self.simplices if len(s) == k + 1)
+        return len(self.simplices_of_dim(k))
 
-    def simplices_of_dim(self, k: int) -> list:
-        return sorted((s for s in self.simplices if len(s) == k + 1),
-                      key=lambda s: tuple(sorted(s)))
+    def simplices_of_dim(self, k: int) -> tuple:
+        if self._by_dim is None:
+            buckets = {}
+            for s in self.simplices:
+                buckets.setdefault(len(s) - 1, []).append(s)
+            self._by_dim = {
+                d: tuple(sorted(b, key=lambda s: tuple(sorted(s))))
+                for d, b in buckets.items()}
+        return self._by_dim.get(k, ())
 
     def __contains__(self, sigma) -> bool:
         return frozenset(sigma) in self.simplices

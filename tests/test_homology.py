@@ -9,9 +9,14 @@ from hypothesis import given, settings, strategies as st
 from sympy import Matrix
 from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
+from quillen import constructions as cs
 from quillen import poset as ps
 from quillen.homology import (
     HomologyProfile,
+    _eliminate,
+    _invariant_factors,
+    _to_sparse,
+    _unit_pivots,
     boundary_matrix,
     is_cohen_macaulay,
     reduced_homology,
@@ -161,6 +166,99 @@ def test_euler_characteristic_consistency():
         chi = sum((-1) ** q * prof.betti_of(q)
                   for q in range(-1, prof.dim + 1))
         assert chi == C.euler_characteristic_reduced()
+
+
+# -- unit pivots + residual vs the Euclidean engine alone ---------------
+
+def _old_engine(matrix):
+    """The Euclidean engine on the whole matrix: the oracle."""
+    diag = _eliminate(_to_sparse(matrix))
+    return _invariant_factors(diag), len(diag)
+
+
+def _two_phases(matrix):
+    """(number of unit pivots, residual diagonal) of the new path."""
+    rows = _to_sparse(matrix)
+    units = _unit_pivots(rows)
+    return units, _eliminate(rows)
+
+
+def _dense(B):
+    m, n = B.shape
+    return [[B.entries.get((i, j), 0) for j in range(n)] for i in range(m)]
+
+
+def _assert_snf_agrees(matrix, dense=None):
+    """The new path equals the old engine and, given the dense rows,
+    sympy; its rank is the unit pivots plus the residual diagonal."""
+    factors, rank = smith_normal_form(matrix)
+    assert (factors, rank) == _old_engine(matrix)
+    units, residual = _two_phases(matrix)
+    assert rank == units + len(residual)
+    if dense is not None:
+        assert (tuple(sorted(factors)), rank) == _oracle_factors(dense)
+    return units, residual
+
+
+def test_snf_random_sparse_mixed_entries():
+    rng = random.Random(11)
+    for _ in range(150):
+        m, n = rng.randint(1, 8), rng.randint(1, 8)
+        density = rng.uniform(0.2, 0.8)
+        rows = [[rng.choice((1, -1, 1, -1, 2, -3, 4, 6))
+                 if rng.random() < density else 0 for _ in range(n)]
+                for _ in range(m)]
+        _assert_snf_agrees(rows, rows)
+
+
+def test_snf_without_unit_entries_is_all_residual():
+    rng = random.Random(12)
+    for _ in range(100):
+        m, n = rng.randint(1, 7), rng.randint(1, 7)
+        rows = [[rng.choice((0, 0, 2, -2, 3, 4, -6, 9)) for _ in range(n)]
+                for _ in range(m)]
+        units, _ = _assert_snf_agrees(rows, rows)
+        assert units == 0
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.sets(st.integers(0, 5), min_size=1, max_size=4),
+                min_size=1, max_size=8))
+def test_snf_on_boundaries_of_random_complexes(facets):
+    C = ps.SimplicialComplex(facets, close=True)
+    for k in range(0, C.dim + 1):
+        B = boundary_matrix(C, k)
+        _assert_snf_agrees(B.entries, _dense(B))
+
+
+def _residual_torsion(C, dense):
+    """Invariant factors > 1 of every residual block of C's boundaries."""
+    out = []
+    for k in range(0, C.dim + 1):
+        B = boundary_matrix(C, k)
+        _, residual = _assert_snf_agrees(B.entries,
+                                         _dense(B) if dense else None)
+        out += [f for f in _invariant_factors(residual) if f > 1]
+    return out
+
+
+def test_snf_residual_carries_projective_plane_torsion():
+    rp2 = ps.SimplicialComplex(RP2_FACETS, close=True)
+    assert _residual_torsion(rp2, dense=True) == [2]
+    # H~_3 = Z/2 and, from the Tor term, H~_4 = Z/2
+    assert _residual_torsion(ps.join(rp2, rp2), dense=False) == [2, 2]
+
+
+def test_torus_complex_of_s3_to_the_fourth():
+    """A_2(S3^4) is the join of four copies of A_2(S3), three points
+    each, so H~_3 = Z^((3-1)^4) and all else vanishes."""
+    S3 = cs.catalog_group("S3")
+    C = ps.order_complex(ps.quillen_poset(cs.direct_product([S3] * 4), 2))
+    assert [C.n_simplices(k) for k in range(4)] == [2874, 23868, 46494,
+                                                    25515]
+    prof = reduced_homology(C)
+    assert prof.nonzero_degrees() == (3,)
+    assert prof.betti_of(3) == 16 and prof.torsion_of(3) == ()
 
 
 # -- profiles -----------------------------------------------------------

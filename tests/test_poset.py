@@ -105,6 +105,17 @@ def test_close_under_faces():
     assert frozenset([0, 2]) in C
 
 
+def test_simplices_bucketed_by_dimension():
+    C = ps.SimplicialComplex([[3, 1, 2], [0, 4], [5]], close=True)
+    for k in range(-1, C.dim + 2):
+        rescan = sorted((s for s in C.simplices if len(s) == k + 1),
+                        key=lambda s: tuple(sorted(s)))
+        assert list(C.simplices_of_dim(k)) == rescan
+        assert C.n_simplices(k) == len(rescan)
+    assert C.simplices_of_dim(1) is C.simplices_of_dim(1)
+    assert C.simplices_of_dim(7) == ()
+
+
 def test_facets():
     C = ps.SimplicialComplex([[0, 1], [1, 2], [2]], close=True)
     assert C.facets() == [frozenset([0, 1]), frozenset([1, 2])]
