@@ -10,6 +10,7 @@ desk scale.  Subgroups are immutable member-id sets inside a parent group.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
@@ -281,11 +282,8 @@ def group_from_table(table: Sequence[Sequence[int]], *,
     else:
         gen_ids = tuple(sorted({index[tuple(table[i])] for i in gen_indices}))
     G = Group(n, elements, gen_ids, provenance=provenance, label=label)
-    # shrink the witness generators
-    if gen_indices is None:
-        G = Group(n, elements,
-                  _small_witness(G, frozenset(range(n))),
-                  provenance=provenance, label=label)
+    if gen_indices is None:  # shrink the witness generators
+        G.generators = _small_witness(G, frozenset(range(n)))
     return G
 
 
@@ -300,10 +298,11 @@ def subgroup_generated(G: Group, seed: Iterable[int]) -> Subgroup:
 
 
 def derived_subgroup(S) -> Subgroup:
+    """S' as the normal closure in S of the commutators of its generators."""
     S = _as_subgroup(S)
-    G = S.parent
-    comms = {G.commutator(a, b) for a in S.members for b in S.members}
-    return Subgroup(G, G.closure(comms))
+    gens = S.generator_witness
+    return normal_closure(S, {S.parent.commutator(a, b)
+                              for a in gens for b in gens})
 
 
 def centralizer(S, X) -> Subgroup:
@@ -335,15 +334,21 @@ def conjugate_subgroup(S: Subgroup, g: int) -> Subgroup:
                     tuple(sorted(G.conj(x, g) for x in S.generator_witness)))
 
 
-def normal_closure(G: Group, seed: Iterable[int]) -> Subgroup:
-    """Smallest normal subgroup of G containing ``seed``."""
+def normal_closure(S, seed: Iterable[int]) -> Subgroup:
+    """Smallest subgroup containing ``seed`` that is normalized by the
+    Group or Subgroup S; it is closed under conjugation by S's generators
+    exactly when its own generators are."""
+    S = _as_subgroup(S)
+    G = S.parent
     gens = set(seed) - {G.identity}
-    members = set(G.closure(gens))
+    members = G.closure(gens)
     while True:
-        extra = {G.conj(x, g) for x in members for g in G.generators}
-        if extra <= members:
+        extra = {G.conj(x, s) for x in gens
+                 for s in S.generator_witness} - members
+        if not extra:
             return Subgroup(G, members)
-        members = set(G.closure(members | extra))
+        gens |= extra
+        members = G.closure(gens)
 
 
 def is_normal(S: Subgroup, in_: Optional[Subgroup] = None) -> bool:
@@ -369,15 +374,7 @@ def is_cyclic(S) -> bool:
 def exponent(S) -> int:
     S = _as_subgroup(S)
     G = S.parent
-    e = 1
-    for x in S.members:
-        e = _lcm(e, G.element_order(x))
-    return e
-
-
-def _lcm(a, b):
-    import math
-    return a * b // math.gcd(a, b)
+    return math.lcm(*(G.element_order(x) for x in S.members))
 
 
 def is_p_group(S, p: int) -> bool:
@@ -386,10 +383,6 @@ def is_p_group(S, p: int) -> bool:
     while n % p == 0:
         n //= p
     return n == 1
-
-
-def is_p_prime_group(S, p: int) -> bool:
-    return _as_subgroup(S).order % p != 0
 
 
 def is_elementary_abelian(S, p: int) -> bool:
@@ -578,32 +571,49 @@ def p_length(G: Group, p: int) -> PSeriesReport:
 def elementary_abelian_subgroups(G: Group, p: int,
                                  within: Optional[Subgroup] = None) -> list:
     """All nontrivial elementary abelian p-subgroups (as member frozensets),
-    by rank-incremental closure over commuting order-p elements."""
-    amb = within.member_set if within is not None else frozenset(range(G.order))
-    porder = sorted(x for x in amb
-                    if x != G.identity and G.element_order(x) == p)
-    level = {}
-    for x in porder:
-        c = G.closure([x])
-        level[c] = None
-    found = list(level)
-    cur = list(level)
+    grown from the subgroups of order p by centralizing order-p elements."""
+    amb = _ambient(G, within, lambda o: o == p)
+    seeds = (G.closure([x]) for x in sorted(amb) if x != G.identity)
+    return _grow(G, amb, seeds, lambda H, g: _centralizes(G, g, H))
+
+
+def _ambient(G: Group, within: Optional[Subgroup], keep) -> frozenset:
+    """The identity and the elements of ``within`` (default G) whose
+    order passes ``keep``."""
+    amb = within.member_set if within is not None else range(G.order)
+    return frozenset(x for x in amb
+                     if x == G.identity or keep(G.element_order(x)))
+
+
+def _centralizes(G: Group, g: int, H: frozenset) -> bool:
+    t = G.table
+    return all(t[g, x] == t[x, g] for x in H)
+
+
+def _grow(G: Group, amb: frozenset, seeds: Iterable[frozenset],
+          extends) -> list:
+    """Every subgroup reached from ``seeds`` by steps H -> H<g> with g in
+    ``amb`` outside H and ``extends(H, g)``, kept when inside ``amb``.
+    The predicate must make g normalize H, so H<g> is the product set of
+    H and <g>.  Sorted by (order, members)."""
+    found = dict.fromkeys(seeds)
+    cur = list(found)
+    ambl = sorted(amb)
+    cyclic = {g: _cyclic_ids(G, g) for g in ambl}
     t = G.table
     while cur:
         nxt = {}
-        for E in cur:
-            for g in porder:
-                if g in E:
+        for H in cur:
+            hs = np.fromiter(H, dtype=np.int64, count=len(H))[:, None]
+            for g in ambl:
+                if g in H or not extends(H, g):
                     continue
-                if all(t[g, x] == t[x, g] for x in E):
-                    X = frozenset().union(*[
-                        {int(t[a, b]) for b in _cyclic_ids(G, g)} for a in E])
-                    if X <= amb:
-                        nxt[X] = None
-        new = [X for X in nxt if X not in set(found)]
-        found.extend(new)
-        cur = new
-    return sorted(set(found), key=lambda s: (len(s), tuple(sorted(s))))
+                K = frozenset(t[hs, cyclic[g]].ravel().tolist())
+                if K <= amb and K not in found and K not in nxt:
+                    nxt[K] = None
+        found.update(nxt)
+        cur = list(nxt)
+    return sorted(found, key=lambda s: (len(s), tuple(sorted(s))))
 
 
 def _cyclic_ids(G: Group, g: int) -> tuple:
@@ -691,30 +701,18 @@ def _dihedral_like(S, twist) -> bool:
 def all_p_subgroups(G: Group, p: int,
                     within: Optional[Subgroup] = None) -> list:
     """All nontrivial p-subgroups (as member frozensets), by index-p
-    extension BFS from the cyclic subgroups of order p."""
-    amb = within.member_set if within is not None else frozenset(range(G.order))
-    pelems = sorted(x for x in amb if x != G.identity
-                    and _is_p_power(G.element_order(x), p))
-    level = {}
-    for x in pelems:
-        if G.element_order(x) == p:
-            level[G.closure([x])] = None
-    found = dict(level)
-    cur = list(level)
-    while cur:
-        nxt = {}
-        target = len(next(iter(cur))) * p if cur else 0
-        for H in cur:
-            for g in pelems:
-                if g in H:
-                    continue
-                K = G.closure(set(H) | {g})
-                if len(K) == target and K <= amb and K not in found:
-                    nxt[K] = None
-        for K in nxt:
-            found[K] = None
-        cur = list(nxt)
-    return sorted(found, key=lambda s: (len(s), tuple(sorted(s))))
+    extension from the subgroups of order p.  A p-subgroup of order
+    p^(k+1) has a normal subgroup H of index p, and every g of it outside
+    H normalizes H with g^p in H; such a g makes H<g> of order p|H|."""
+    amb = _ambient(G, within, lambda o: _is_p_power(o, p))
+    seeds = (G.closure([x]) for x in sorted(amb)
+             if G.element_order(x) == p)
+
+    def extends(H, g):
+        return (G.power(g, p) in H
+                and all(G.conj(x, g) in H for x in H))
+
+    return _grow(G, amb, seeds, extends)
 
 
 def all_subgroups(G: Group, within: Optional[Subgroup] = None) -> list:
@@ -744,21 +742,5 @@ def abelian_subgroups(G: Group, within: Optional[Subgroup] = None) -> list:
     """All abelian subgroups (including the trivial one), by extension
     over centralizing elements."""
     amb = within.member_set if within is not None else frozenset(range(G.order))
-    t = G.table
-    found = {frozenset([G.identity]): None}
-    cur = list(found)
-    ambl = sorted(amb)
-    while cur:
-        nxt = {}
-        for H in cur:
-            for g in ambl:
-                if g in H:
-                    continue
-                if all(t[g, x] == t[x, g] for x in H):
-                    K = G.closure(set(H) | {g})
-                    if K <= amb and K not in found and K not in nxt:
-                        nxt[K] = None
-        for K in nxt:
-            found[K] = None
-        cur = list(nxt)
-    return sorted(found, key=lambda s: (len(s), tuple(sorted(s))))
+    return _grow(G, amb, [frozenset([G.identity])],
+                 lambda H, g: _centralizes(G, g, H))

@@ -356,15 +356,6 @@ class SphericityVerdict:
                 "caveat": HOMOLOGY_PROXY_CAVEAT}
 
 
-def _spherical_in(profile: HomologyProfile, r: int) -> bool:
-    """Homology-level r-spherical: acyclic, or free homology concentrated
-    in degree r."""
-    nz = profile.nonzero_degrees()
-    if not nz:
-        return True
-    return nz == (r,) and not profile.torsion_of(r)
-
-
 def sphericity(C: SimplicialComplex, r: Optional[int] = None,
                profile: Optional[HomologyProfile] = None) -> SphericityVerdict:
     """Check (weak) r-sphericity of a complex; with r=None the unique

@@ -601,14 +601,15 @@ def main_theorem_check(G: Group, p: int) -> TheoremVerdict:
         semidihedral = False
 
     C = ps.order_complex(ps.quillen_poset(G, p))
-    prof = reduced_homology(C)
+    # the CM check computes the top homology itself; reuse its profile
+    cm = None if semidihedral else is_cohen_macaulay(C)
+    prof = reduced_homology(C) if cm is None else cm.profile
     rkP = gp.rank(P, p)
     computed = {"sylow_order": P.order, "rank": rkP, "dim": C.dim,
                 "profile": prof.to_json(), "T_type": rep.T_type,
                 "case": rep.case}
 
     if not semidihedral:
-        cm = is_cohen_macaulay(C)
         computed["cohen_macaulay"] = cm.cohen_macaulay
         agrees = cm.cohen_macaulay and C.dim == rkP - 1
         return TheoremVerdict(

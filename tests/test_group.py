@@ -182,6 +182,15 @@ def test_normal_closure_and_is_normal():
     assert gp.is_normal(NC)
     P = gp.sylow_subgroup(G, 2)
     assert not gp.is_normal(P)
+    # a transposition of S4 is normal-closed to S4, but inside a Sylow D8
+    # only to the (non-normal in S4) Klein four-group it spans with its
+    # conjugate; a double transposition would give the normal V4 in both
+    t = next(x for x in P.members
+             if sum(i != j for i, j in enumerate(G.elements[x])) == 2)
+    inP = gp.normal_closure(P, [t])
+    assert inP.order == 4 and inP <= P
+    assert gp.is_normal(inP, P) and not gp.is_normal(inP)
+    assert gp.normal_closure(G, [t]).order == 24
 
 
 def test_sylow_subgroups():
@@ -246,6 +255,10 @@ def test_quotient_group_s4_by_v4():
     pre = q.preimage(K)
     assert pre.order == 12
     assert q.image(pre).member_set == K.member_set
+    # the shrunken generators still generate the quotient
+    Q = q.group
+    assert Q.closure(Q.generators) == frozenset(range(Q.order))
+    assert len(Q.generators) < Q.order - 1
 
 
 def test_quotient_requires_normality():
@@ -300,3 +313,65 @@ def test_abelian_subgroups_include_trivial():
     subs = gp.abelian_subgroups(G_of("D8"))
     assert frozenset([0]) in subs
     assert len(subs) == 9  # 10 subgroups of D8 minus the nonabelian whole
+
+
+# -- enumerators and the derived subgroup against their definitions -----
+
+LARGE = ("C3^4:(SD16oC4)", "C3^4:(SD16oD8)")  # orders 2592 and 5184
+SMALL = [name for name in cs.catalog_names() if name not in LARGE]
+
+
+def _primes(n):
+    return [q for q in range(2, n + 1)
+            if n % q == 0 and all(q % r for r in range(2, q))]
+
+
+def _derived_by_all_commutators(S):
+    G = S.parent
+    return G.closure({G.commutator(a, b) for a in S.members for b in S.members})
+
+
+@pytest.mark.parametrize("name", SMALL)
+def test_enumerators_match_filtered_all_subgroups(name):
+    G = G_of(name)
+    assert G.order <= 216
+    subs = gp.all_subgroups(G)
+    S = {K: gp.Subgroup(G, K) for K in subs}
+    assert gp.abelian_subgroups(G) == [K for K in subs if gp.is_abelian(S[K])]
+    for p in _primes(G.order):
+        P = gp.sylow_subgroup(G, p)
+        for within in (None, P):
+            inside = [K for K in subs
+                      if within is None or K <= within.member_set]
+            psubs = [K for K in inside
+                     if len(K) > 1 and gp.is_p_group(S[K], p)]
+            assert gp.all_p_subgroups(G, p, within=within) == psubs
+            assert gp.elementary_abelian_subgroups(G, p, within=within) == \
+                [K for K in psubs if gp.is_elementary_abelian(S[K], p)]
+        assert gp.abelian_subgroups(G, within=P) == \
+            [K for K in subs if K <= P.member_set and gp.is_abelian(S[K])]
+
+
+@pytest.mark.parametrize("name", SMALL)
+def test_derived_series_matches_all_commutators(name):
+    G = G_of(name)
+    S = G.full()
+    while True:
+        D = gp.derived_subgroup(S)
+        assert D.member_set == _derived_by_all_commutators(S)
+        if D.order == S.order:
+            break
+        S = D
+    for p in _primes(G.order):
+        P = gp.sylow_subgroup(G, p)
+        assert gp.derived_subgroup(P).member_set == \
+            _derived_by_all_commutators(P)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(["S4", "SL(2,3)", "C3:(D16xC2)", "C3C3:SL(2,3)"]),
+       st.lists(st.integers(min_value=0, max_value=215), max_size=3))
+def test_derived_subgroup_of_random_subgroups(name, picks):
+    G = G_of(name)
+    S = gp.subgroup_generated(G, [x % G.order for x in picks])
+    assert gp.derived_subgroup(S).member_set == _derived_by_all_commutators(S)
