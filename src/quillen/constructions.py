@@ -215,6 +215,9 @@ def _modular_p3(p: int, cap: int) -> Group:
 
 
 def _from_mul(elems, mul, gen_elems, cap, label=""):
+    cap = min(cap, gp.TABLE_ORDER_CAP)
+    if len(elems) > cap:  # before the n^2 products are listed
+        raise gp.GroupTooLarge(f"group order {len(elems)} exceeds cap {cap}")
     index = {e: i for i, e in enumerate(elems)}
     table = [[index[mul(a, b)] for b in elems] for a in elems]
     return gp.group_from_table(table, gen_indices=[index[g] for g in gen_elems],

@@ -4,7 +4,13 @@ Groups are fully enumerated permutation groups with canonical integer
 element ids (elements sorted lexicographically by image tuple, so the
 identity is always id 0).  A dense multiplication table makes all element
 arithmetic O(1), which keeps the subgroup-theoretic primitives cheap at
-desk scale.  Subgroups are immutable member-id sets inside a parent group.
+desk scale.  The table is built with numpy from the images of a base, a
+few points whose images tell all elements apart (Seress, *Permutation
+Group Algorithms*, 2003, ch. 4): the base images of a product are those
+of its right factor mapped by its left, and they decode to its id in one
+lookup per base point.  It takes 4*order^2 bytes, so no group beyond
+TABLE_ORDER_CAP elements is built, whatever the caller's cap.  Subgroups
+are immutable member-id sets inside a parent group.
 """
 
 from __future__ import annotations
@@ -26,6 +32,8 @@ from .errors import (
 
 DEFAULT_ELEMENT_CAP = 4096
 DERIVED_SERIES_DEPTH_CAP = 32
+TABLE_ORDER_CAP = 1 << 14  # bounds every cap: a 1 GiB int32 table (4*order^2)
+BLOCK_ENTRIES = 1 << 13  # int64 entries per temporary of a block of rows: 64 KiB
 
 Perm = tuple  # tuple of images, 0-based
 
@@ -54,7 +62,8 @@ class Group:
 
     Immutable after construction; safe to share.  `elements[i]` is the
     permutation with id ``i``; `table[i, j]` is the id of
-    ``elements[i] * elements[j]``.
+    ``elements[i] * elements[j]``; `base` is the tuple of points whose
+    images tell the elements apart, from which the table is built.
     """
 
     def __init__(self, degree: int, elements: list, generator_ids: tuple,
@@ -75,24 +84,29 @@ class Group:
     # -- construction ---------------------------------------------------
 
     def _build_table(self) -> np.ndarray:
-        n = self.order
-        E = np.array(self.elements, dtype=np.int64)
-        lookup = {E[i].tobytes(): i for i in range(n)}
+        """Row i holds the ids of elements[i] * elements[j].  A product is
+        identified by its images of the base: each row is gathered from
+        the base images of all elements at once and decoded level by
+        level, in blocks of rows whose temporaries hold BLOCK_ENTRIES
+        entries each."""
+        n, d = self.order, self.degree
+        E = np.array(self.elements, dtype=np.intp)
+        self.base, luts = _base_codes(E)
+        Eb = E[:, self.base].T.copy()  # Eb[k, j] = elements[j][base[k]]
         table = np.empty((n, n), dtype=np.int32)
-        for i in range(n):
-            prods = E[i][E]  # row j = elements[i] o elements[j]
-            row = table[i]
-            for j in range(n):
-                row[j] = lookup[prods[j].tobytes()]
+        rows = max(1, BLOCK_ENTRIES // n)
+        for lo in range(0, n, rows):
+            block = E[lo:lo + rows]
+            code = 0
+            for pts, lut in zip(Eb, luts):
+                code = lut[code * d + block[:, pts]]
+            table[lo:lo + rows] = code
         return table
 
     def _build_inverses(self) -> np.ndarray:
-        n = self.order
-        inv = np.empty(n, dtype=np.int32)
-        e = self.identity
-        for i in range(n):
-            inv[np.flatnonzero(self.table[i] == e)[0]] = i
-        return inv
+        # each row is a permutation of the ids and the identity is id 0,
+        # so the inverse of i is where row i takes its minimum
+        return self.table.argmin(axis=1).astype(np.int32)
 
     # -- element arithmetic ---------------------------------------------
 
@@ -210,6 +224,37 @@ class Subgroup:
         return f"<Subgroup order={self.order} of {self.parent!r}>"
 
 
+def _base_codes(E: np.ndarray) -> tuple:
+    """A base of the group whose elements are the rows of ``E``, and the
+    lookup tables that decode base images.  Points are taken greedily,
+    each one that separates more elements than the ones before.  After
+    k base points an element's code is the rank of its first k base
+    images among the elements', so it stays below the order; with code
+    c and image y of the next base point the code becomes
+    ``luts[k][c * degree + y]``, and the last lookup gives the element
+    id."""
+    n, d = E.shape
+    code = np.zeros(n, dtype=np.intp)
+    classes = 1
+    base, luts = [], []
+    for b in range(d):
+        if classes == n:
+            break
+        key = code * d + E[:, b]
+        seen = np.zeros(classes * d, dtype=bool)
+        seen[key] = True
+        found = np.count_nonzero(seen)
+        if found == classes:
+            continue  # the base points so far fix the image of b
+        lut = np.cumsum(seen) - 1  # rank of each key among those seen
+        base.append(b)
+        luts.append(lut)
+        code, classes = lut[key], found
+        if classes == n:
+            lut[key] = np.arange(n)
+    return tuple(base), luts
+
+
 def _small_witness(G: Group, members: frozenset) -> tuple:
     """Greedy small generating set for a known-closed member set."""
     if len(members) == 1:
@@ -241,6 +286,7 @@ def group_from_generators(degree: int, gens: Sequence[Sequence[int]], *,
                           label: str = "") -> Group:
     """Enumerate the group generated by permutations of {0..degree-1}."""
     perms = [validate_permutation(g, degree) for g in gens]
+    cap = min(cap, TABLE_ORDER_CAP)
     identity = tuple(range(degree))
     members = {identity}
     frontier = [identity]
@@ -270,6 +316,7 @@ def group_from_table(table: Sequence[Sequence[int]], *,
     """Build a Group from an abstract multiplication table via the left
     regular action (rows of the table are the permutations)."""
     n = len(table)
+    cap = min(cap, TABLE_ORDER_CAP)
     if n > cap:
         raise GroupTooLarge(f"group order {n} exceeds cap {cap}")
     perms = {tuple(row) for row in table}
@@ -352,8 +399,10 @@ def normal_closure(S, seed: Iterable[int]) -> Subgroup:
 
 
 def is_normal(S: Subgroup, in_: Optional[Subgroup] = None) -> bool:
+    """Whether the generators of ``in_`` (default: the parent group)
+    conjugate the generators of S into S; then all of ``in_`` does."""
     G = S.parent
-    amb = in_.members if in_ is not None else range(G.order)
+    amb = in_.generator_witness if in_ is not None else G.generators
     gens = S.generator_witness or S.members
     return all(G.conj(x, g) in S.member_set for g in amb for x in gens)
 
@@ -717,24 +766,29 @@ def all_p_subgroups(G: Group, p: int,
 
 def all_subgroups(G: Group, within: Optional[Subgroup] = None) -> list:
     """All subgroups (as member frozensets) of a small group, by
-    extension BFS.  Exponential in the subgroup count; desk scale only."""
+    extension BFS: H<g> for every found H and every g outside it, closed
+    from a generating tuple of H plus g.  Every element of the coset Hg
+    gives the same H<g>, so one per coset is closed.  Exponential in the
+    subgroup count; desk scale only."""
     amb = sorted(within.member_set) if within is not None \
         else list(range(G.order))
     ambset = frozenset(amb)
-    found = {frozenset([G.identity]): None}
-    cur = list(found)
+    found = {frozenset([G.identity]): ()}  # subgroup -> generating tuple
+    cur = list(found.items())
     while cur:
         nxt = {}
-        for H in cur:
+        for H, gens in cur:
+            hs = sorted(H)
+            done = set(H)
             for g in amb:
-                if g in H:
+                if g in done:
                     continue
-                K = G.closure(set(H) | {g})
+                done.update(G.table[hs, g].tolist())
+                K = G.closure(gens + (g,))
                 if K <= ambset and K not in found and K not in nxt:
-                    nxt[K] = None
-        for K in nxt:
-            found[K] = None
-        cur = list(nxt)
+                    nxt[K] = gens + (g,)
+        found.update(nxt)
+        cur = list(nxt.items())
     return sorted(found, key=lambda s: (len(s), tuple(sorted(s))))
 
 

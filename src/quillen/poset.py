@@ -9,6 +9,7 @@ makes the join and link degree arithmetic uniform.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 from dataclasses import dataclass
 from typing import Iterable, Optional
@@ -37,12 +38,19 @@ class SubgroupPoset:
         self.kind = kind
         self._index = {S.members: i for i, S in enumerate(self.nodes)}
         n = len(self.nodes)
-        # above[i] = indices of nodes strictly containing node i
-        self.above = [frozenset(j for j in range(n) if i != j
-                                and self.nodes[i] < self.nodes[j])
+        # above[i] = indices of nodes strictly containing node i; only a
+        # node of larger order can, and those come after the last node
+        # of node i's order
+        sets = [S.member_set for S in self.nodes]
+        orders = [len(s) for s in sets]
+        self.above = [frozenset(j for j in range(bisect.bisect_right(
+                          orders, orders[i]), n) if sets[i] <= sets[j])
                       for i in range(n)]
-        self.below = [frozenset(j for j in range(n) if i in self.above[j])
-                      for i in range(n)]
+        below = [[] for _ in range(n)]
+        for i, up in enumerate(self.above):
+            for j in up:
+                below[j].append(i)
+        self.below = [frozenset(b) for b in below]
 
     def __len__(self):
         return len(self.nodes)

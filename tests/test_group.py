@@ -3,6 +3,7 @@ Sylow theory, quotients, and the p-series."""
 
 import itertools
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -76,6 +77,21 @@ def test_element_cap_enforced():
     with pytest.raises(GroupTooLarge):
         gp.group_from_generators(
             5, [[1, 2, 3, 4, 0], [1, 0, 2, 3, 4]], cap=100)  # S5 = 120
+
+
+def test_table_bound_caps_every_cap():
+    assert gp.TABLE_ORDER_CAP == 16384  # a 1 GiB int32 table
+    # C2^15 has 32768 elements; enumeration stops at 16385 of them
+    swaps = [[2 * i + 1 if x == 2 * i else 2 * i if x == 2 * i + 1 else x
+              for x in range(30)] for i in range(15)]
+    with pytest.raises(GroupTooLarge, match="exceeds cap 16384"):
+        gp.group_from_generators(30, swaps, cap=10 ** 9)
+    # a table with too many rows is refused before a row is read
+    with pytest.raises(GroupTooLarge, match="exceeds cap 16384"):
+        gp.group_from_table([()] * 16385, cap=10 ** 9)
+    # and before the n^2 products of an abstract multiplication are listed
+    with pytest.raises(GroupTooLarge, match="exceeds cap 16384"):
+        cs.quaternion(1 << 15, cap=10 ** 9)
 
 
 # -- closure / subgroup properties (property-based) ---------------------
@@ -375,3 +391,85 @@ def test_derived_subgroup_of_random_subgroups(name, picks):
     G = G_of(name)
     S = gp.subgroup_generated(G, [x % G.order for x in picks])
     assert gp.derived_subgroup(S).member_set == _derived_by_all_commutators(S)
+
+
+# -- the Cayley table against the per-element lookup it replaced ---------
+
+def _table_by_lookup(G):
+    """The table from one dictionary lookup per product."""
+    n = G.order
+    E = np.array(G.elements, dtype=np.int64)
+    lookup = {E[i].tobytes(): i for i in range(n)}
+    table = np.empty((n, n), dtype=np.int32)
+    for i in range(n):
+        prods = E[i][E]  # row j = elements[i] o elements[j]
+        row = table[i]
+        for j in range(n):
+            row[j] = lookup[prods[j].tobytes()]
+    return table
+
+
+def _inverses_by_scan(table):
+    n = len(table)
+    inv = np.empty(n, dtype=np.int32)
+    for i in range(n):
+        inv[np.flatnonzero(table[i] == 0)[0]] = i
+    return inv
+
+
+def _assert_table_exact(G):
+    table = _table_by_lookup(G)
+    assert G.table.dtype == np.int32 and G.inverse.dtype == np.int32
+    assert np.array_equal(G.table, table)
+    assert np.array_equal(G.inverse, _inverses_by_scan(table))
+    assert (G.table[np.arange(G.order), G.inverse] == 0).all()
+
+
+@pytest.mark.parametrize("name", SMALL)
+def test_table_matches_lookup_on_catalog(name):
+    _assert_table_exact(G_of(name))
+
+
+def _moved_to(perm, off, degree):
+    """``perm`` acting on off, off+1, ... and fixing the other points."""
+    img = list(range(degree))
+    for i, x in enumerate(perm):
+        img[off + i] = off + x
+    return img
+
+
+def test_table_matches_lookup_on_long_bases_and_high_degree():
+    S4, A4 = G_of("S4"), G_of("A4")
+    G = cs.direct_product([S4, A4])
+    assert G.degree == 8 and len(G.base) >= 5
+    _assert_table_exact(G)
+    # C3 on points 0..2 times S4 x A4 on points 256..263 of 264
+    gens = ([_moved_to(S4.elements[g], 256, 264) for g in S4.generators]
+            + [_moved_to(A4.elements[g], 260, 264) for g in A4.generators]
+            + [_moved_to((1, 2, 0), 0, 264)])
+    H = gp.group_from_generators(264, gens)
+    assert H.order == 3 * 288 and len(H.base) >= 5 and max(H.base) > 255
+    _assert_table_exact(H)
+    assert gp.group_from_generators(1, []).table.tolist() == [[0]]
+
+
+def test_table_ids_follow_the_element_list():
+    # builders list elements in image order, but ids are list positions
+    S4 = G_of("S4")
+    _assert_table_exact(gp.Group(4, S4.elements[:1] + S4.elements[:0:-1], ()))
+
+
+@pytest.mark.parametrize("name", ["S4", "SL(2,3)", "C3C3:C2", "D16xC2"])
+def test_table_matches_lookup_on_regular_representations(name):
+    G = G_of(name)
+    R = gp.group_from_table(G.table.tolist())
+    assert R.degree == R.order == G.order and R.base == (0,)
+    _assert_table_exact(R)
+
+
+@pytest.mark.parametrize("name", SMALL)
+def test_table_matches_lookup_on_p_length_quotients(name):
+    G = G_of(name)
+    for p in _primes(G.order):
+        for N in gp.p_length(G, p).series[1:-1]:
+            _assert_table_exact(gp.quotient_group(G, N).group)

@@ -66,6 +66,29 @@ def test_ab_poset_d8_above_center():
     assert sorted(S.order for S in up.nodes) == [4, 4, 4]
 
 
+LARGE = ("C3^4:(SD16oC4)", "C3^4:(SD16oD8)")  # orders 2592 and 5184
+
+
+def _primes(n):
+    return [q for q in range(2, n + 1)
+            if n % q == 0 and all(q % r for r in range(2, q))]
+
+
+@pytest.mark.parametrize("name", [name for name in cs.catalog_names()
+                                  if name not in LARGE])
+def test_above_and_below_match_all_pairs(name):
+    G = G_of(name)
+    for p in _primes(G.order):
+        for P in (ps.quillen_poset(G, p), ps.brown_poset(G, p)):
+            n = len(P)
+            above = [frozenset(j for j in range(n) if i != j
+                               and P.nodes[i] < P.nodes[j])
+                     for i in range(n)]
+            assert P.above == above
+            assert P.below == [frozenset(j for j in range(n) if i in above[j])
+                               for i in range(n)]
+
+
 def test_find_conjunctive_element():
     G = G_of("D8")
     P = ps.quillen_poset(G, 2)
