@@ -362,9 +362,6 @@ def _run_instance(inst: dict, max_order: Optional[int]) -> dict:
                     "agrees": (op_nontrivial == acyclic) and conj_ok,
                     "o_p_nontrivial": op_nontrivial, "acyclic": acyclic,
                     "conjunctive_found": conj is not None}
-            else:
-                results[chk] = {"agrees": False,
-                                "error": f"unknown check {chk!r}"}
         except DecompositionNotFound as e:
             results[chk] = {"agrees": False,
                             "error": f"DecompositionNotFound: {e}"}

@@ -252,19 +252,6 @@ def direct_product(factors: Sequence[Group],
                                     provenance="disjoint union of factor actions")
 
 
-def _product_with_pairs(A: Group, B: Group, cap: int):
-    """Direct product together with the (a_id, b_id) -> product_id map."""
-    P = direct_product([A, B], cap=cap)
-    pair_to_id = {}
-    for a in range(A.order):
-        pa = A.elements[a]
-        for b in range(B.order):
-            pb = B.elements[b]
-            img = tuple(list(pa) + [A.degree + x for x in pb])
-            pair_to_id[(a, b)] = P.index[img]
-    return P, pair_to_id
-
-
 def central_product(A: Group, B: Group, pairs: Sequence[tuple],
                     cap: int = DEFAULT_ELEMENT_CAP) -> Group:
     """Quotient of A x B identifying central subgroups via the pairing.
@@ -281,8 +268,10 @@ def central_product(A: Group, B: Group, pairs: Sequence[tuple],
         if any(B.mul(b, g) != B.mul(g, b) for g in range(B.order)):
             raise NotCentral(f"element {b} is not central in B")
     phi = _extend_pairing(A, B, pairs)
-    P, pair_to_id = _product_with_pairs(A, B, cap)
-    anti = [pair_to_id[(a, B.inv(b))] for a, b in phi.items()]
+    P = direct_product([A, B], cap=cap)
+    anti = [P.index[A.elements[a] + tuple(A.degree + x
+                                          for x in B.elements[B.inv(b)])]
+            for a, b in phi.items()]
     K = Subgroup(P, P.closure(anti))
     if K.order != len(phi):
         raise PairingNotIsomorphism("anti-diagonal has wrong order")
@@ -507,19 +496,18 @@ def _c3c3_sl23_spec() -> GroupSpec:
     # N generators act as e1, e2; find them
     ngens = list(N.generators)
     # identify which generator is which basis vector via cycle support
+    vecs = [(a, b) for a in range(3) for b in range(3) if (a, b) != (0, 0)]
+
+    def nv(v):  # the vector v written in N
+        return N.mul(N.power(ngens[0], v[0]), N.power(ngens[1], v[1]))
+
     rows = []
     for hgen in H.generators:
         perm = H.elements[hgen]
-        # recover the matrix from the action on basis vectors of F_3^2
-        vecs = [(a, b) for a in range(3) for b in range(3) if (a, b) != (0, 0)]
+        # recover the matrix from the action on basis vectors of F_3^2;
+        # the image of N-generator i is the image of e_i
         e1img = vecs[perm[vecs.index((1, 0))]]
         e2img = vecs[perm[vecs.index((0, 1))]]
-        # image of N-generator i is e_i-image written in N
-        def nv(v):
-            x = N.identity
-            x = N.power(ngens[0], v[0])
-            x = N.mul(x, N.power(ngens[1], v[1]))
-            return x
         rows.append([nv(e1img), nv(e2img)])
     return GroupSpec("semidirect_product",
                      {"n": n, "h": h, "action": {"gen_images": rows}})
@@ -749,13 +737,17 @@ def _build_catalog() -> dict:
     return cat
 
 
-def catalog(name: str) -> GroupSpec:
-    """Look up a named GroupSpec from the pinned catalog."""
+def _catalog() -> dict:
     global _CATALOG
     if _CATALOG is None:
         _CATALOG = _build_catalog()
+    return _CATALOG
+
+
+def catalog(name: str) -> GroupSpec:
+    """Look up a named GroupSpec from the pinned catalog."""
     try:
-        return _CATALOG[name]
+        return _catalog()[name]
     except KeyError:
         raise UnknownName(f"unknown catalog name {name!r}") from None
 
@@ -773,7 +765,4 @@ def catalog_group(name: str) -> Group:
 
 
 def catalog_names() -> list:
-    global _CATALOG
-    if _CATALOG is None:
-        _CATALOG = _build_catalog()
-    return sorted(k for k in _CATALOG if k.isascii())
+    return sorted(k for k in _catalog() if k.isascii())

@@ -427,11 +427,7 @@ def exponent(S) -> int:
 
 
 def is_p_group(S, p: int) -> bool:
-    S = _as_subgroup(S)
-    n = S.order
-    while n % p == 0:
-        n //= p
-    return n == 1
+    return _is_p_power(_as_subgroup(S).order, p)
 
 
 def is_elementary_abelian(S, p: int) -> bool:
@@ -450,37 +446,34 @@ def omega1(P, p: int) -> Subgroup:
 
 
 def sylow_subgroup(G: Group, p: int) -> Subgroup:
-    """Deterministic Sylow p-subgroup (canonical-minimal extension chain)."""
-    pa = 1
-    n = G.order
+    """Deterministic Sylow p-subgroup: from 1, step H -> H<g> with the
+    least g that passes ``_extends_p``.  Such a g exists until H is
+    Sylow, since p then divides |N_G(H) : H|."""
+    n, gens = _p_prime_part(G.order, p), ()
+    H = frozenset([G.identity])
+    while len(H) * n < G.order:
+        g = next(g for g in range(G.order)
+                 if g not in H and _extends_p(G, p, H, g))
+        H = frozenset(_product_set(G, H, _cyclic_ids(G, g)))
+        gens = tuple(sorted(gens + (g,)))
+    return Subgroup(G, H, gens)
+
+
+def _p_prime_part(n: int, p: int) -> int:
     while n % p == 0:
-        pa *= p
         n //= p
-    H = G.trivial_subgroup()
-    if pa == 1:
-        return H
-    while H.order < pa:
-        N = normalizer(G.full(), H)
-        ext = None
-        for g in N.members:
-            if g in H.member_set:
-                continue
-            o = G.element_order(g)
-            if o % p == 0 or o == 1:
-                if o != 1 and _is_p_power(o, p) and G.power(g, p) in H.member_set:
-                    ext = g
-                    break
-        if ext is None:  # pragma: no cover - cannot happen by Sylow theory
-            raise RuntimeError("Sylow extension step failed")
-        H = Subgroup(G, G.closure(set(H.members) | {ext}),
-                     tuple(sorted(set(H.generator_witness) | {ext})))
-    return H
+    return n
 
 
 def _is_p_power(n: int, p: int) -> bool:
-    while n % p == 0:
-        n //= p
-    return n == 1
+    return _p_prime_part(n, p) == 1
+
+
+def _extends_p(G: Group, p: int, H: frozenset, g: int) -> bool:
+    """Whether g, a p-element outside the p-subgroup H, normalizes H
+    with g^p in H, so that H<g> is a p-subgroup of order p|H|."""
+    return (_is_p_power(G.element_order(g), p) and G.power(g, p) in H
+            and all(G.conj(x, g) in H for x in H))
 
 
 def all_sylow_subgroups(G: Group, p: int) -> list:
@@ -494,30 +487,50 @@ def all_sylow_subgroups(G: Group, p: int) -> list:
     return [seen[m] for m in sorted(seen)]
 
 
-def o_p(G: Group, p: int) -> Subgroup:
-    """Largest normal p-subgroup: intersection of the Sylow p-subgroups."""
-    syl = all_sylow_subgroups(G, p)
-    if not syl:
-        return G.trivial_subgroup()
-    members = frozenset.intersection(*[S.member_set for S in syl])
-    return Subgroup(G, members)
+def o_p(G: Group, p: int, N: Optional[Subgroup] = None) -> Subgroup:
+    """Largest normal subgroup that is a p-group modulo the normal
+    subgroup N (default 1): the preimage of O_p(G/N).  The Sylow
+    subgroups of G/N are the P^gN/N, so this is the core of PN, cut
+    down by its conjugates under G's generators to a fixed point."""
+    Nm = N.members if N is not None else (G.identity,)
+    core = set(_product_set(G, sylow_subgroup(G, p).members, Nm))
+    t, inv, size = G.table, G.inverse, 0
+    while size != len(core):
+        size = len(core)
+        for s in G.generators:
+            core &= set(t[t[inv[s], list(core)], s].tolist())
+    return Subgroup(G, core)
 
 
-def o_p_prime(G: Group, p: int) -> Subgroup:
-    """Largest normal p'-subgroup, generated by all elements whose normal
-    closure is a p'-group."""
-    gens = []
-    seen_cyclic = set()
+def o_p_prime(G: Group, p: int, N: Optional[Subgroup] = None) -> Subgroup:
+    """Largest normal subgroup of index prime to p over the normal
+    subgroup N (default 1): the preimage of O_p'(G/N).  Grown greedily
+    from M = N: x joins when <M, x^G> has p'-index over N, which holds
+    exactly when xN lies in O_p'(G/N), so each class of cosets x^G N is
+    tried once; x is skipped when xN has order divisible by p."""
+    M = N if N is not None else G.trivial_subgroup()
+    n, ns, Nm = M.order, M.member_set, M.members
+    done = set(ns)  # a union of cosets of N
+    t, every = G.table, np.arange(G.order)
     for x in range(G.order):
-        if x == G.identity or G.element_order(x) % p == 0:
+        if x in done:
             continue
-        c = G.closure([x])
-        if c in seen_cyclic:
-            continue
-        seen_cyclic.add(c)
-        if normal_closure(G, [x]).order % p != 0:
-            gens.append(x)
-    return Subgroup(G, G.closure(gens))
+        if G.power(x, _p_prime_part(G.element_order(x), p)) not in ns:
+            continue  # xN has order divisible by p
+        for y in set(t[t[G.inverse, x], every].tolist()):  # x^G
+            if y not in done:
+                done.update(t[y, Nm].tolist())
+        K = normal_closure(G, set(M.generator_witness) | {x})
+        if (K.order // n) % p:
+            M = K
+            done.update(M.members)
+    return M
+
+
+def _product_set(G: Group, A: Iterable[int], B: Sequence[int]) -> list:
+    """The ids of a*b for a in A, b in B, with repeats."""
+    a = np.fromiter(A, dtype=np.int64)[:, None]
+    return G.table[a, np.asarray(B, dtype=np.int64)].ravel().tolist()
 
 
 def is_solvable(S) -> bool:
@@ -594,18 +607,10 @@ def p_length(G: Group, p: int) -> PSeriesReport:
     """Upper p-series 1 <= O_{p'} <= O_{p',p} <= ... and its p-length."""
     if not is_solvable(G):
         raise NotSolvable(f"group of order {G.order} is not solvable")
-    series = [G.trivial_subgroup()]
-    plen = 0
-    phase_p = False  # start with a p'-step
-    cur = series[0]
+    cur, plen, phase_p = G.trivial_subgroup(), 0, False  # a p'-step first
+    series = [cur]
     while cur.order < G.order:
-        if cur.order == 1:
-            # avoid rebuilding G as a quotient by the trivial subgroup
-            nxt = o_p(G, p) if phase_p else o_p_prime(G, p)
-        else:
-            q = quotient_group(G, cur)
-            K = o_p(q.group, p) if phase_p else o_p_prime(q.group, p)
-            nxt = q.preimage(K)
+        nxt = o_p(G, p, cur) if phase_p else o_p_prime(G, p, cur)
         if nxt.order > cur.order:
             if phase_p:
                 plen += 1
@@ -649,15 +654,13 @@ def _grow(G: Group, amb: frozenset, seeds: Iterable[frozenset],
     cur = list(found)
     ambl = sorted(amb)
     cyclic = {g: _cyclic_ids(G, g) for g in ambl}
-    t = G.table
     while cur:
         nxt = {}
         for H in cur:
-            hs = np.fromiter(H, dtype=np.int64, count=len(H))[:, None]
             for g in ambl:
                 if g in H or not extends(H, g):
                     continue
-                K = frozenset(t[hs, cyclic[g]].ravel().tolist())
+                K = frozenset(_product_set(G, H, cyclic[g]))
                 if K <= amb and K not in found and K not in nxt:
                     nxt[K] = None
         found.update(nxt)
@@ -756,12 +759,7 @@ def all_p_subgroups(G: Group, p: int,
     amb = _ambient(G, within, lambda o: _is_p_power(o, p))
     seeds = (G.closure([x]) for x in sorted(amb)
              if G.element_order(x) == p)
-
-    def extends(H, g):
-        return (G.power(g, p) in H
-                and all(G.conj(x, g) in H for x in H))
-
-    return _grow(G, amb, seeds, extends)
+    return _grow(G, amb, seeds, lambda H, g: _extends_p(G, p, H, g))
 
 
 def all_subgroups(G: Group, within: Optional[Subgroup] = None) -> list:

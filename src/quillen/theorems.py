@@ -374,7 +374,6 @@ def upper_interval_check(P, p: int, X) -> TheoremVerdict:
     I = _interval_of(G, p, P, X)
     prof = reduced_homology(ps.order_complex(I))
     computed = {"interval_nodes": len(I), "profile": prof.to_json()}
-    rkP = gp.rank(P, p)
     rkX = gp.rank(X, p)
 
     if len(I) == 0:
@@ -449,7 +448,7 @@ def upper_interval_check(P, p: int, X) -> TheoremVerdict:
     if (X.member_set == ZO.member_set and gp.is_cyclic(Op)
             and Op.order > 1):
         rkO = gp.rank(O, p)
-        if p > 2 or gp.derived_subgroup(O).order == 2:
+        if p > 2 or Op.order == 2:
             r = rkO - rkX - 1
             v = sphericity(None, r, profile=prof)
             return TheoremVerdict(
@@ -555,8 +554,10 @@ def p_length_bound_check(G: Group, p: int) -> TheoremVerdict:
     H = gp.o_p_prime(G, p)
     if ell == 2 and H.order == 1 and p < 5:
         N = gp.o_p(G, p)
-        NP = gp.normalizer(G.full(), P).member_set
-        g = next(x for x in range(G.order) if x not in NP)
+        # the least g outside N_G(P)
+        g = next(x for x in range(G.order)
+                 if any(G.conj(y, x) not in P.member_set
+                        for y in P.generator_witness))
         Pg = gp.conjugate_subgroup(P, g)
         S = gp.subgroup_generated(G, set(P.generator_witness)
                                   | set(Pg.generator_witness))

@@ -473,3 +473,115 @@ def test_table_matches_lookup_on_p_length_quotients(name):
     for p in _primes(G.order):
         for N in gp.p_length(G, p).series[1:-1]:
             _assert_table_exact(gp.quotient_group(G, N).group)
+
+
+# -- Sylow, O_p, O_p' and the p-series against the engines they replaced --
+
+PRODUCTS = [("S4", "A4"), ("S3", "S3", "S3"), ("C3C3:SL(2,3)", "C2"),
+            ("S4", "S3"), ("C7:C3", "S4")]
+
+
+def _group_of(names):
+    return cs.direct_product([G_of(n) for n in names])
+
+
+def _sylow_by_normalizer(G, p):
+    """H -> H<g> for the least g of N_G(H) outside H that is a p-element
+    with g^p in H, with N_G(H) built in full at each step."""
+    H = G.trivial_subgroup()
+    while G.order % (H.order * p) == 0:
+        N = gp.normalizer(G.full(), H)
+        ext = next(g for g in N.members if g not in H.member_set
+                   and gp._is_p_power(G.element_order(g), p)
+                   and G.power(g, p) in H.member_set)
+        H = gp.Subgroup(G, G.closure(set(H.members) | {ext}),
+                        tuple(sorted(set(H.generator_witness) | {ext})))
+    return H
+
+
+def _o_p_by_sylow_intersection(G, p):
+    syl = [S.member_set for S in gp.all_sylow_subgroups(G, p)]
+    return frozenset.intersection(*syl) if syl else frozenset([G.identity])
+
+
+def _o_p_prime_by_cyclic_closures(G, p):
+    """Generated by every p'-element whose normal closure is a p'-group,
+    one normal closure per cyclic subgroup."""
+    gens, seen = [], set()
+    for x in range(1, G.order):
+        c = G.closure([x])
+        if G.element_order(x) % p == 0 or c in seen:
+            continue
+        seen.add(c)
+        if gp.normal_closure(G, [x]).order % p:
+            gens.append(x)
+    return G.closure(gens)
+
+
+def _p_series_by_quotients(G, p):
+    """The upper p-series with each term the preimage of O_p' or O_p of
+    the quotient group by the term before."""
+    series, phase_p = [frozenset([G.identity])], False
+    while len(series[-1]) < G.order:
+        q = gp.quotient_group(G, gp.Subgroup(G, series[-1]))
+        oracle = _o_p_by_sylow_intersection if phase_p \
+            else _o_p_prime_by_cyclic_closures
+        nxt = q.preimage(gp.Subgroup(q.group, oracle(q.group, p))).member_set
+        if len(nxt) > len(series[-1]):
+            series.append(nxt)
+        phase_p = not phase_p
+    return series
+
+
+def _normal_subgroups(G):
+    """The terms of every upper p-series, built by the quotient oracle,
+    and of the derived series, and the center."""
+    found = {m: gp.Subgroup(G, m) for q in _primes(G.order)
+             for m in _p_series_by_quotients(G, q)}
+    S = G.full()
+    while S.order > 1:
+        S = gp.derived_subgroup(S)
+        found.setdefault(S.member_set, S)
+    found.setdefault(gp.center(G).member_set, gp.center(G))
+    return [found[m] for m in sorted(found, key=sorted)]
+
+
+@pytest.mark.parametrize("name", SMALL)
+def test_o_p_and_o_p_prime_modulo_n_are_quotient_preimages(name):
+    G = G_of(name)
+    for N in _normal_subgroups(G):
+        q = gp.quotient_group(G, N)
+        for p in _primes(G.order):
+            assert gp.o_p(G, p, N) == q.preimage(gp.o_p(q.group, p))
+            assert gp.o_p_prime(G, p, N) == \
+                q.preimage(gp.o_p_prime(q.group, p))
+
+
+def _assert_sylow_and_o_p_match(G, p):
+    P, old = gp.sylow_subgroup(G, p), _sylow_by_normalizer(G, p)
+    assert P.members == old.members
+    assert P.generator_witness == old.generator_witness
+    assert gp.o_p(G, p).member_set == _o_p_by_sylow_intersection(G, p)
+
+
+@pytest.mark.parametrize("names", [(n,) for n in SMALL] + PRODUCTS,
+                         ids="x".join)
+def test_sylow_o_p_o_p_prime_and_p_series_match_old_engines(names):
+    G = _group_of(names) if len(names) > 1 else G_of(names[0])
+    for p in _primes(G.order):
+        _assert_sylow_and_o_p_match(G, p)
+        assert gp.o_p_prime(G, p).member_set == \
+            _o_p_prime_by_cyclic_closures(G, p)
+        assert [S.member_set for S in gp.p_length(G, p).series] == \
+            _p_series_by_quotients(G, p)
+
+
+@pytest.mark.parametrize("name", LARGE)
+def test_sylow_o_p_and_o_p_prime_match_old_engines_on_large_witnesses(name):
+    # one sweep of conjugations does not reach O_2 of these groups; the
+    # quotient-built series and the O_3' oracle take minutes here
+    G = G_of(name)
+    for p in (2, 3):
+        _assert_sylow_and_o_p_match(G, p)
+    assert gp.o_p_prime(G, 2).member_set == \
+        _o_p_prime_by_cyclic_closures(G, 2)
