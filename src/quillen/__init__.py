@@ -31,6 +31,7 @@ from .homology import (
     reduced_homology,
     smith_normal_form,
     sphericity,
+    torus_complex_cohen_macaulay,
 )
 from .theorems import (
     StructureReport,
@@ -82,6 +83,7 @@ __all__ = [
     "reduced_homology",
     "smith_normal_form",
     "sphericity",
+    "torus_complex_cohen_macaulay",
     "upper_interval",
     "upper_interval_check",
     "verify_pulkus_welker",

@@ -31,8 +31,8 @@ from .errors import (
 from .group import DEFAULT_ELEMENT_CAP, Group
 from .homology import (
     HOMOLOGY_PROXY_CAVEAT,
-    is_cohen_macaulay,
     reduced_homology,
+    torus_complex_cohen_macaulay,
 )
 from .report import VERSION, AnalysisReport, group_stats
 
@@ -177,8 +177,9 @@ def cmd_quillen(args) -> int:
 def cmd_cm_check(args) -> int:
     def run(G, p, timings):
         with _timer(timings, "cm_check"):
-            C = ps.order_complex(ps.quillen_poset(G, p))
-            cm = is_cohen_macaulay(C)
+            A = ps.quillen_poset(G, p)
+            C = ps.order_complex(A)
+            cm = torus_complex_cohen_macaulay(A, C)
         return {"cohen_macaulay": cm.to_json(), "dim": C.dim}, EXIT_OK
     return _group_command(args, "cm-check", run)
 
@@ -333,8 +334,8 @@ def _run_instance(inst: dict, max_order: Optional[int]) -> dict:
                 results[chk] = {"agrees": bprof == prof,
                                 "profile": bprof.to_json()}
             elif chk == "cm":
-                _, C, _ = quillen_data()
-                cm = is_cohen_macaulay(C)
+                P, C, prof = quillen_data()
+                cm = torus_complex_cohen_macaulay(P, C, prof)
                 results[chk] = {"agrees": cm.cohen_macaulay,
                                 "verdict": cm.to_json()}
             elif chk == "decompose":

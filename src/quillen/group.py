@@ -9,7 +9,9 @@ few points whose images tell all elements apart (Seress, *Permutation
 Group Algorithms*, 2003, ch. 4): the base images of a product are those
 of its right factor mapped by its left, and they decode to its id in one
 lookup per base point.  It takes 4*order^2 bytes, so no group beyond
-TABLE_ORDER_CAP elements is built, whatever the caller's cap.  Subgroups
+TABLE_ORDER_CAP elements is built, whatever the caller's cap.  numpy is
+imported by the functions that use it, so that importing the package,
+and commands that build no group, do not load it.  Subgroups
 are immutable member-id sets inside a parent group.
 """
 
@@ -19,8 +21,6 @@ import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
-
-import numpy as np
 
 from .errors import (
     GroupTooLarge,
@@ -89,6 +89,7 @@ class Group:
         the base images of all elements at once and decoded level by
         level, in blocks of rows whose temporaries hold BLOCK_ENTRIES
         entries each."""
+        import numpy as np
         n, d = self.order, self.degree
         E = np.array(self.elements, dtype=np.intp)
         self.base, luts = _base_codes(E)
@@ -106,7 +107,7 @@ class Group:
     def _build_inverses(self) -> np.ndarray:
         # each row is a permutation of the ids and the identity is id 0,
         # so the inverse of i is where row i takes its minimum
-        return self.table.argmin(axis=1).astype(np.int32)
+        return self.table.argmin(axis=1).astype(self.table.dtype)
 
     # -- element arithmetic ---------------------------------------------
 
@@ -233,6 +234,7 @@ def _base_codes(E: np.ndarray) -> tuple:
     c and image y of the next base point the code becomes
     ``luts[k][c * degree + y]``, and the last lookup gives the element
     id."""
+    import numpy as np
     n, d = E.shape
     code = np.zeros(n, dtype=np.intp)
     classes = 1
@@ -508,6 +510,7 @@ def o_p_prime(G: Group, p: int, N: Optional[Subgroup] = None) -> Subgroup:
     from M = N: x joins when <M, x^G> has p'-index over N, which holds
     exactly when xN lies in O_p'(G/N), so each class of cosets x^G N is
     tried once; x is skipped when xN has order divisible by p."""
+    import numpy as np
     M = N if N is not None else G.trivial_subgroup()
     n, ns, Nm = M.order, M.member_set, M.members
     done = set(ns)  # a union of cosets of N
@@ -529,6 +532,7 @@ def o_p_prime(G: Group, p: int, N: Optional[Subgroup] = None) -> Subgroup:
 
 def _product_set(G: Group, A: Iterable[int], B: Sequence[int]) -> list:
     """The ids of a*b for a in A, b in B, with repeats."""
+    import numpy as np
     a = np.fromiter(A, dtype=np.int64)[:, None]
     return G.table[a, np.asarray(B, dtype=np.int64)].ravel().tolist()
 
@@ -571,6 +575,7 @@ def quotient_group(G: Group, N: Subgroup, *, label: str = "") -> Quotient:
     the cosets (left regular action of the quotient)."""
     if not is_normal(N):
         raise HypothesisViolated("normality", "quotient by non-normal subgroup")
+    import numpy as np
     n = G.order
     Nm = np.array(N.members, dtype=np.int64)
     cmin = G.table[Nm, :].min(axis=0)  # canonical rep (min of coset Ng)

@@ -1,6 +1,7 @@
-"""Subgroup posets (Quillen, Brown, abelian-subgroup, intervals), their
-order complexes, and the simplicial constructions (link, join, wedge)
-used to assemble homotopy-formula right-hand sides.
+"""Subgroup posets (Quillen, Brown, abelian-subgroup, upper intervals)
+and the conjugacy classes of their nodes, their order complexes, and
+the simplicial constructions (link, join, wedge) used to assemble
+homotopy-formula right-hand sides.
 
 A SimplicialComplex always contains the empty simplex; the vertex-free
 complex {()} has dimension -1 and reduced homology Z in degree -1, which
@@ -62,15 +63,6 @@ class SubgroupPoset:
             raise NodeNotInPoset(f"subgroup of order {S.order} not in poset") \
                 from None
 
-    def covers(self) -> list:
-        """Hasse diagram: (i, j) with node i covered by node j."""
-        out = []
-        for i in range(len(self.nodes)):
-            for j in sorted(self.above[i]):
-                if not (self.above[i] & self.below[j]):
-                    out.append((i, j))
-        return out
-
     def induced(self, indices: Iterable[int], kind: str = "") -> "SubgroupPoset":
         return SubgroupPoset(self.ground_group,
                              [self.nodes[i] for i in indices],
@@ -111,14 +103,28 @@ def upper_interval(P: SubgroupPoset, x: Subgroup) -> SubgroupPoset:
     return P.induced(sorted(P.above[i]))
 
 
-def lower_interval(P: SubgroupPoset, x: Subgroup) -> SubgroupPoset:
-    i = P.index_of(x)
-    return P.induced(sorted(P.below[i]))
-
-
-def open_interval(P: SubgroupPoset, r: Subgroup, s: Subgroup) -> SubgroupPoset:
-    i, j = P.index_of(r), P.index_of(s)
-    return P.induced(sorted(P.above[i] & P.below[j]))
+def conjugacy_classes(P: SubgroupPoset) -> list:
+    """The nodes of P in classes under conjugation by its ground group:
+    lists of node indices, each sorted, ordered by least index.  P must
+    be closed under conjugation.  A class is the orbit of its least node
+    under conjugation by the group's generators, which generate every
+    conjugation; each node is conjugated once per generator."""
+    G = P.ground_group
+    seen = [False] * len(P)
+    classes = []
+    for i in range(len(P)):
+        if seen[i]:
+            continue
+        seen[i] = True
+        orbit = [i]
+        for j in orbit:
+            for g in G.generators:
+                k = P.index_of(gp.conjugate_subgroup(P.nodes[j], g))
+                if not seen[k]:
+                    seen[k] = True
+                    orbit.append(k)
+        classes.append(sorted(orbit))
+    return classes
 
 
 def find_conjunctive_element(P: SubgroupPoset) -> Optional[Subgroup]:
@@ -185,16 +191,6 @@ class SimplicialComplex:
 
     def __hash__(self):
         return hash(self.simplices)
-
-    def euler_characteristic_reduced(self) -> int:
-        return sum((-1) ** (len(s) - 1) for s in self.simplices)
-
-    def facets(self) -> list:
-        out = []
-        for s in self.simplices:
-            if s and not any(s < t for t in self.simplices):
-                out.append(s)
-        return sorted(out, key=lambda s: tuple(sorted(s)))
 
     def export_text(self) -> str:
         """One simplex per line, sorted vertex ids space-separated."""

@@ -20,9 +20,9 @@ from .group import Group, Subgroup
 from .homology import (
     HomologyProfile,
     SphericityVerdict,
-    is_cohen_macaulay,
     reduced_homology,
     sphericity,
+    torus_complex_cohen_macaulay,
 )
 from .errors import (
     DecompositionNotFound,
@@ -601,9 +601,10 @@ def main_theorem_check(G: Group, p: int) -> TheoremVerdict:
         rep = classify_odd_p_group(O, p)
         semidihedral = False
 
-    C = ps.order_complex(ps.quillen_poset(G, p))
+    A = ps.quillen_poset(G, p)
+    C = ps.order_complex(A)
     # the CM check computes the top homology itself; reuse its profile
-    cm = None if semidihedral else is_cohen_macaulay(C)
+    cm = None if semidihedral else torus_complex_cohen_macaulay(A, C)
     prof = reduced_homology(C) if cm is None else cm.profile
     rkP = gp.rank(P, p)
     computed = {"sylow_order": P.order, "rank": rkP, "dim": C.dim,

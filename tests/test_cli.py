@@ -250,3 +250,21 @@ def test_stderr_message_on_input_error():
         capture_output=True, text=True)
     assert proc.returncode == 1
     assert "UnknownName" in proc.stderr
+
+
+def test_numpy_loaded_only_by_the_group_layer(tmp_path):
+    """Importing the package and running `homology` build no group, so
+    they leave numpy unloaded."""
+    src = tmp_path / "circle.txt"
+    src.write_text("0 1\n1 2\n0 2\n")
+    script = (
+        "import sys, quillen\n"
+        "assert 'numpy' not in sys.modules, 'import'\n"
+        "from quillen import cli\n"
+        f"assert cli.main(['homology', {str(src)!r}, '--out', "
+        f"{str(tmp_path / 'out.txt')!r}]) == 0\n"
+        "assert 'numpy' not in sys.modules, 'homology'\n")
+    proc = subprocess.run([sys.executable, "-c", script],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "out.txt").read_text() == "dim 1\nH~_1=Z^1\n"

@@ -11,6 +11,7 @@ from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
 from quillen import constructions as cs
 from quillen import poset as ps
+from quillen.group import group_from_generators
 from quillen.homology import (
     HomologyProfile,
     _eliminate,
@@ -22,7 +23,10 @@ from quillen.homology import (
     reduced_homology,
     smith_normal_form,
     sphericity,
+    torus_complex_cohen_macaulay,
 )
+
+import oracles
 
 
 # -- Smith normal form vs sympy oracle ----------------------------------
@@ -165,7 +169,7 @@ def test_euler_characteristic_consistency():
         prof = reduced_homology(C)
         chi = sum((-1) ** q * prof.betti_of(q)
                   for q in range(-1, prof.dim + 1))
-        assert chi == C.euler_characteristic_reduced()
+        assert chi == oracles.euler_characteristic_reduced(C)
 
 
 # -- unit pivots + residual vs the Euclidean engine alone ---------------
@@ -253,12 +257,15 @@ def test_torus_complex_of_s3_to_the_fourth():
     """A_2(S3^4) is the join of four copies of A_2(S3), three points
     each, so H~_3 = Z^((3-1)^4) and all else vanishes."""
     S3 = cs.catalog_group("S3")
-    C = ps.order_complex(ps.quillen_poset(cs.direct_product([S3] * 4), 2))
+    A = ps.quillen_poset(cs.direct_product([S3] * 4), 2)
+    C = ps.order_complex(A)
     assert [C.n_simplices(k) for k in range(4)] == [2874, 23868, 46494,
                                                     25515]
     prof = reduced_homology(C)
     assert prof.nonzero_degrees() == (3,)
     assert prof.betti_of(3) == 16 and prof.torsion_of(3) == ()
+    cm = torus_complex_cohen_macaulay(A, C, prof)
+    assert cm.cohen_macaulay and cm.profile is prof
 
 
 # -- profiles -----------------------------------------------------------
@@ -324,3 +331,68 @@ def test_cohen_macaulay_negative():
     # RP2 fails through torsion
     assert not is_cohen_macaulay(
         ps.SimplicialComplex(RP2_FACETS, close=True)).cohen_macaulay
+
+
+# -- Cohen-Macaulay from upper intervals vs the link sweep --------------
+
+def _perm(degree, cycles):
+    img = list(range(degree))
+    for c in cycles:
+        for a, b in zip(c, c[1:] + c[:1]):
+            img[a - 1] = b - 1
+    return img
+
+
+def _assert_interval_check_matches_sweep(G, p):
+    A = ps.quillen_poset(G, p)
+    C = ps.order_complex(A)
+    v = torus_complex_cohen_macaulay(A, C)
+    assert v.to_json() == is_cohen_macaulay(C).to_json()
+    return v
+
+
+LARGE = ("C3^4:(SD16oC4)", "C3^4:(SD16oD8)")  # orders 2592 and 5184
+
+
+@pytest.mark.parametrize("name", [name for name in cs.catalog_names()
+                                  if name not in LARGE])
+def test_interval_cm_matches_sweep_on_catalog(name):
+    """Every catalog group of order <= 1000, at every prime dividing it."""
+    G = cs.catalog_group(name)
+    assert G.order <= 1000
+    for p in (2, 3, 5, 7):
+        if G.order % p == 0:
+            _assert_interval_check_matches_sweep(G, p)
+
+
+@pytest.mark.parametrize("factors,p", [
+    (("S3", "S3", "S3"), 2), (("D10", "D14"), 2), (("S3", "D14"), 2),
+    (("D14", "D14"), 2), (("S3", "D10"), 2), (("S3", "S3"), 2),
+    (("C7:C3", "C7:C3"), 3), (("D10", "S3", "S3"), 2)],
+    ids=lambda v: "x".join(v) if isinstance(v, tuple) else f"p{v}")
+def test_interval_cm_matches_sweep_on_products(factors, p):
+    G = cs.direct_product([cs.dihedral(int(f[1:])) if f[0] == "D"
+                           else cs.catalog_group(f) for f in factors])
+    assert _assert_interval_check_matches_sweep(G, p).cohen_macaulay
+
+
+def test_interval_cm_on_wreath_products():
+    """C2 wr C4 at p = 2 and C3 wr C3 at p = 3 are not Cohen-Macaulay:
+    their complexes are spherical, but an upper interval is not.  S3 wr
+    C2 at p = 2 is, with intervals that are spheres, not acyclic."""
+    s3wrc2 = group_from_generators(6, [
+        _perm(6, [[1, 2, 3]]), _perm(6, [[1, 2]]),
+        _perm(6, [[1, 4], [2, 5], [3, 6]])])
+    assert _assert_interval_check_matches_sweep(s3wrc2, 2).cohen_macaulay
+    c2wrc4 = group_from_generators(8, [
+        _perm(8, [[1, 2]]), _perm(8, [[1, 3, 5, 7], [2, 4, 6, 8]])])
+    v = _assert_interval_check_matches_sweep(c2wrc4, 2)
+    assert v.homology_spherical and not v.cohen_macaulay
+    assert v.witness == ("link of [44] (dim 0): nonzero homology in "
+                         "degrees [1]2-spherical; H~_1=Z^2")
+    c3wrc3 = group_from_generators(9, [
+        _perm(9, [[1, 2, 3]]), _perm(9, [[1, 4, 7], [2, 5, 8], [3, 6, 9]])])
+    v = _assert_interval_check_matches_sweep(c3wrc3, 3)
+    assert v.homology_spherical and not v.cohen_macaulay
+    assert v.witness == ("link of [8] (dim 0): nonzero homology in "
+                         "degrees [0]1-spherical; H~_0=Z^3")
