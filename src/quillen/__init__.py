@@ -7,7 +7,6 @@ from .group import (
     Group,
     Subgroup,
     group_from_generators,
-    group_from_table,
 )
 from .constructions import GroupSpec, build, catalog, catalog_group, catalog_names
 from .poset import (
@@ -71,7 +70,6 @@ __all__ = [
     "decompose_2group",
     "find_conjunctive_element",
     "group_from_generators",
-    "group_from_table",
     "group_stats",
     "is_cohen_macaulay",
     "join",

@@ -118,8 +118,8 @@ def dihedral(order: int, cap: int = DEFAULT_ELEMENT_CAP) -> Group:
     m = order // 2
     if m == 2:
         G = elementary_abelian(2, 2, cap)
-        return Group(G.degree, G.elements, G.generators,
-                     provenance=G.provenance, label="D4=V4")
+        G.label = "D4=V4"
+        return G
     rot = tuple((i + 1) % m for i in range(m))
     ref = tuple((-i) % m for i in range(m))
     return gp.group_from_generators(m, [rot, ref], cap=cap,
@@ -215,13 +215,17 @@ def _modular_p3(p: int, cap: int) -> Group:
 
 
 def _from_mul(elems, mul, gen_elems, cap, label=""):
+    """The regular representation of an abstract group: the left
+    translations x -> g*x of the generators, as permutations of the
+    positions in ``elems``."""
     cap = min(cap, gp.TABLE_ORDER_CAP)
-    if len(elems) > cap:  # before the n^2 products are listed
+    if len(elems) > cap:  # before any product is listed
         raise gp.GroupTooLarge(f"group order {len(elems)} exceeds cap {cap}")
     index = {e: i for i, e in enumerate(elems)}
-    table = [[index[mul(a, b)] for b in elems] for a in elems]
-    return gp.group_from_table(table, gen_indices=[index[g] for g in gen_elems],
-                               cap=cap, label=label)
+    gens = [tuple(index[mul(g, e)] for e in elems) for g in gen_elems]
+    return gp.group_from_generators(len(elems), gens, cap=cap,
+                                    provenance="regular representation",
+                                    label=label)
 
 
 # -- product constructions ----------------------------------------------
@@ -275,10 +279,8 @@ def central_product(A: Group, B: Group, pairs: Sequence[tuple],
     K = Subgroup(P, P.closure(anti))
     if K.order != len(phi):
         raise PairingNotIsomorphism("anti-diagonal has wrong order")
-    q = gp.quotient_group(P, K)
-    Q = q.group
-    Q.label = f"{A.label or '?'}o{B.label or '?'}"
-    return Q
+    return gp.quotient_group(P, K,
+                             label=f"{A.label or '?'}o{B.label or '?'}")
 
 
 def _extend_pairing(A: Group, B: Group, pairs):

@@ -310,32 +310,6 @@ def group_from_generators(degree: int, gens: Sequence[Sequence[int]], *,
     return Group(degree, elements, gen_ids, provenance=provenance, label=label)
 
 
-def group_from_table(table: Sequence[Sequence[int]], *,
-                     gen_indices: Optional[Sequence[int]] = None,
-                     cap: int = DEFAULT_ELEMENT_CAP,
-                     provenance: str = "regular representation",
-                     label: str = "") -> Group:
-    """Build a Group from an abstract multiplication table via the left
-    regular action (rows of the table are the permutations)."""
-    n = len(table)
-    cap = min(cap, TABLE_ORDER_CAP)
-    if n > cap:
-        raise GroupTooLarge(f"group order {n} exceeds cap {cap}")
-    perms = {tuple(row) for row in table}
-    if len(perms) != n:
-        raise InvalidPermutation("multiplication table rows not distinct")
-    elements = sorted(perms)
-    index = {p: i for i, p in enumerate(elements)}
-    if gen_indices is None:
-        gen_ids = tuple(i for i in range(len(elements)) if i != 0)
-    else:
-        gen_ids = tuple(sorted({index[tuple(table[i])] for i in gen_indices}))
-    G = Group(n, elements, gen_ids, provenance=provenance, label=label)
-    if gen_indices is None:  # shrink the witness generators
-        G.generators = _small_witness(G, frozenset(range(n)))
-    return G
-
-
 # -- spec operations ----------------------------------------------------
 
 def subgroup_generated(G: Group, seed: Iterable[int]) -> Subgroup:
@@ -366,15 +340,6 @@ def centralizer(S, X) -> Subgroup:
 def center(S) -> Subgroup:
     S = _as_subgroup(S)
     return centralizer(S, S)
-
-
-def normalizer(S, X) -> Subgroup:
-    S, X = _as_subgroup(S), _as_subgroup(X)
-    G = S.parent
-    gens = X.generator_witness or X.members
-    members = [s for s in S.members
-               if all(G.conj(x, s) in X.member_set for x in gens)]
-    return Subgroup(G, members)
 
 
 def conjugate_subgroup(S: Subgroup, g: int) -> Subgroup:
@@ -478,17 +443,6 @@ def _extends_p(G: Group, p: int, H: frozenset, g: int) -> bool:
             and all(G.conj(x, g) in H for x in H))
 
 
-def all_sylow_subgroups(G: Group, p: int) -> list:
-    if G.order % p != 0:
-        return []
-    P = sylow_subgroup(G, p)
-    seen = {}
-    for g in range(G.order):
-        Q = conjugate_subgroup(P, g)
-        seen.setdefault(Q.members, Q)
-    return [seen[m] for m in sorted(seen)]
-
-
 def o_p(G: Group, p: int, N: Optional[Subgroup] = None) -> Subgroup:
     """Largest normal subgroup that is a p-group modulo the normal
     subgroup N (default 1): the preimage of O_p(G/N).  The Sylow
@@ -552,46 +506,29 @@ def is_solvable(S) -> bool:
 
 # -- quotients ----------------------------------------------------------
 
-class Quotient:
-    """Quotient group G/N together with the projection on element ids."""
-
-    def __init__(self, parent: Group, group: Group, hom: tuple):
-        self.parent = parent
-        self.group = group
-        self.hom = hom  # hom[g] = id in quotient group
-
-    def preimage(self, K: Subgroup) -> Subgroup:
-        """Preimage in G of a subgroup of the quotient (member-id set)."""
-        ks = K.member_set
-        return Subgroup(self.parent, [g for g in range(len(self.hom))
-                                      if self.hom[g] in ks])
-
-    def image(self, S: Subgroup) -> Subgroup:
-        return Subgroup(self.group, {self.hom[g] for g in S.members})
-
-
-def quotient_group(G: Group, N: Subgroup, *, label: str = "") -> Quotient:
-    """Quotient by a normal subgroup, as a canonical permutation group on
-    the cosets (left regular action of the quotient)."""
-    if not is_normal(N):
-        raise HypothesisViolated("normality", "quotient by non-normal subgroup")
+def quotient_group(S, N: Subgroup, *, label: str = "") -> Group:
+    """S/N for a normal subgroup N of the Group or Subgroup S, as the
+    action of S's generators on the cosets of N in S.  A coset is named by
+    its least member, and the cosets in that order are the points 0..k-1,
+    so the group is the left regular action of S/N."""
     import numpy as np
-    n = G.order
-    Nm = np.array(N.members, dtype=np.int64)
-    cmin = G.table[Nm, :].min(axis=0)  # canonical rep (min of coset Ng)
-    reps = sorted(set(int(c) for c in cmin))
-    rep_index = {r: i for i, r in enumerate(reps)}
-    k = len(reps)
-    qtable = [[rep_index[int(cmin[G.mul(a, b)])] for b in reps] for a in reps]
-    Q = group_from_table(qtable, cap=max(DEFAULT_ELEMENT_CAP, k),
-                         provenance="coset action (regular)",
-                         label=label or (G.label + "/N" if G.label else ""))
-    # qtable row i is the left-translation permutation of element i; find
-    # its id in the canonical group
-    row_id = {tuple(row): Q.index[tuple(row)] for row in qtable}
-    hom = tuple(row_id[tuple(qtable[rep_index[int(cmin[g])]])]
-                for g in range(n))
-    return Quotient(G, Q, hom)
+    S = _as_subgroup(S)
+    if not (N <= S and is_normal(N, S)):
+        raise HypothesisViolated("normality",
+                                 "quotient by non-normal subgroup")
+    G = S.parent
+    Sm = np.array(S.members, dtype=np.int64)
+    Nm = np.array(N.members, dtype=np.int64)[:, None]
+    cmin = G.table[Nm, Sm].min(axis=0)  # the least member of each Ns
+    reps = sorted(set(cmin.tolist()))
+    point = np.empty(G.order, dtype=np.int64)
+    point[reps] = range(len(reps))
+    point[Sm] = point[cmin]
+    gens = [point[G.table[g, reps]].tolist() for g in S.generator_witness]
+    return group_from_generators(len(reps), gens,
+                                 cap=max(DEFAULT_ELEMENT_CAP, len(reps)),
+                                 provenance="coset action (regular)",
+                                 label=label)
 
 
 # -- p-series and p-length ---------------------------------------------

@@ -93,15 +93,6 @@ class TheoremVerdict:
 
 # -- shared helpers -----------------------------------------------------
 
-def _subgroup_as_group(S: Subgroup, label: str = "") -> Group:
-    """Standalone Group for a subgroup, via its multiplication table."""
-    G = S.parent
-    idx = {m: i for i, m in enumerate(S.members)}
-    table = [[idx[G.mul(a, b)] for b in S.members] for a in S.members]
-    return gp.group_from_table(
-        table, cap=max(gp.DEFAULT_ELEMENT_CAP, S.order), label=label)
-
-
 def _greedy_complement(ambient: Subgroup, W: Subgroup,
                        start: Subgroup) -> Subgroup:
     """Subgroup K between ``start`` and ``ambient`` with K·W = ambient and
@@ -187,12 +178,6 @@ def _central_split(D: Subgroup, p: int) -> Subgroup:
     return E
 
 
-def _set_product(A: Subgroup, B: Subgroup) -> frozenset:
-    G = A.parent
-    t = G.table
-    return frozenset(int(t[a, b]) for a in A.members for b in B.members)
-
-
 # -- odd-p classification -----------------------------------------------
 
 def classify_odd_p_group(P, p: int) -> StructureReport:
@@ -231,7 +216,9 @@ def classify_odd_p_group(P, p: int) -> StructureReport:
         ("E extraspecial", gp.is_extraspecial(E, p)),
         ("E exponent p", gp.exponent(E) == p),
         ("A ∩ E = 1", len(A.member_set & E.member_set) == 1),
-        ("A·E = P", _set_product(A, E) == P.member_set),
+        ("A·E = P",
+         frozenset(gp._product_set(G, A.members, E.members))
+         == P.member_set),
     )
     if not all(ok for _, ok in checks):
         raise DecompositionNotFound(
@@ -334,18 +321,22 @@ def decompose_2group(P) -> StructureReport:
 
 def _td_checks(P, T, D, E, Zo) -> tuple:
     """Independent re-verification of every TD-decomposition invariant."""
+    G = P.parent
     CT = gp.centralizer(P, T).member_set
     return (
         ("T normal in P", T.order == 1 or gp.is_normal(T, P)),
         ("D normal in P", gp.is_normal(D, P)),
         ("[T,D] = 1", all(d in CT for d in D.members)),
         ("|T∩D| <= 2", len(T.member_set & D.member_set) <= 2),
-        ("T·D = P", _set_product(T, D) == P.member_set),
+        ("T·D = P",
+         frozenset(gp._product_set(G, T.members, D.members))
+         == P.member_set),
         ("Omega1(Z(P)) <= D", Zo <= D),
         ("E trivial or extraspecial",
          E.order == 1 or gp.is_extraspecial(E, 2)),
         ("D = Z(D)·E",
-         _set_product(gp.center(D), E) == D.member_set),
+         frozenset(gp._product_set(G, gp.center(D).members, E.members))
+         == D.member_set),
     )
 
 
@@ -422,7 +413,8 @@ def upper_interval_check(P, p: int, X) -> TheoremVerdict:
             D = None
         if (D is not None and gp.is_extraspecial(D, 2)
                 and gp.center(D).member_set == X.member_set
-                and _set_product(Z, D) == P.member_set):
+                and frozenset(gp._product_set(G, Z.members, D.members))
+                == P.member_set):
             # any such D has |D| = 2|P|/|Z|, and Ab(D) above X is the
             # poset of isotropic subspaces of the symplectic form on D/X,
             # so the prediction does not depend on which D is found
@@ -481,22 +473,28 @@ def upper_interval_check(P, p: int, X) -> TheoremVerdict:
 def verify_pulkus_welker(G: Group, p: int) -> TheoremVerdict:
     """Compare the homology of the full torus complex of G with that of
     the wedge of the quotient complex and the joins over its tori, for
-    N = O_{p'}(G) nontrivial solvable."""
+    N = O_{p'}(G) nontrivial solvable.  No quotient group is built: N is
+    a p'-group, so every torus of G/N is AN/N for a torus A of G, and
+    A -> NA maps A_p(G) onto the preimages of the tori of G/N, keeping
+    inclusion; the quotient complex is taken on those preimages."""
     N = gp.o_p_prime(G, p)
     if N.order == 1:
         raise PreconditionFailed("O_{p'}(G) = 1")
     if not gp.is_solvable(N):
         raise PreconditionFailed("O_{p'}(G) not solvable")
-    lhs = reduced_homology(ps.order_complex(ps.quillen_poset(G, p)))
+    A = ps.quillen_poset(G, p)
+    lhs = reduced_homology(ps.order_complex(A))
 
-    Q = gp.quotient_group(G, N)
-    PQ = ps.quillen_poset(Q.group, p)
+    PQ = ps.SubgroupPoset(G, [
+        Subgroup(G, gp._product_set(G, N.members, X.members),
+                 tuple(sorted(set(N.generator_witness)
+                              | set(X.generator_witness))))
+        for X in A.nodes])
     base = ps.order_complex(PQ)
     pieces = []
-    for i, Abar in enumerate(PQ.nodes):
-        NA = Q.preimage(Abar)
+    for i, NA in enumerate(PQ.nodes):
         c_na = ps.order_complex(ps.quillen_poset(G, p, within=NA))
-        iv = ps.upper_interval(PQ, Abar)
+        iv = ps.upper_interval(PQ, NA)
         c_iv = ps.order_complex(iv)
         pieces.append((ps.join(c_na, c_iv), i))
     rhs = reduced_homology(ps.wedge(ps.WedgeAssembly(base, tuple(pieces))))
@@ -561,10 +559,7 @@ def p_length_bound_check(G: Group, p: int) -> TheoremVerdict:
         Pg = gp.conjugate_subgroup(P, g)
         S = gp.subgroup_generated(G, set(P.generator_witness)
                                   | set(Pg.generator_witness))
-        Sg = _subgroup_as_group(S)
-        local = {m: i for i, m in enumerate(S.members)}
-        Nloc = Subgroup(Sg, [local[m] for m in N.members])
-        F = gp.quotient_group(Sg, Nloc).group
+        F = gp.quotient_group(S, N)
         fp = _looks_like_sl22(F) if p == 2 else _looks_like_sl23(F)
         computed["section_order"] = F.order
         notes.append(f"section <P,P^g>/O_p has order {F.order}, "

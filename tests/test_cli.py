@@ -231,6 +231,22 @@ def test_report_determinism(tmp_path):
         json.dumps(_strip_timings(b), sort_keys=True)
 
 
+GOLDEN_SUITE = os.path.join(os.path.dirname(__file__), "golden",
+                            "suite_max_order_999.json")
+
+
+def test_suite_matches_pinned_report(tmp_path):
+    """`quillen suite --max-order 999 --format json` with the rows'
+    timings removed is byte-identical to the pinned report.  Rewrite the
+    pinned file only with a change that means to change a report."""
+    code, data = run_json(["suite", "--max-order", "999"], tmp_path)
+    assert code == 0
+    text = json.dumps(_strip_timings(data), sort_keys=True, indent=2,
+                      ensure_ascii=False) + "\n"
+    with open(GOLDEN_SUITE, encoding="utf-8") as fh:
+        assert text == fh.read()
+
+
 # -- console entry point ------------------------------------------------
 
 def test_console_script_runs():

@@ -15,6 +15,8 @@ from quillen.errors import (
     UnknownName,
 )
 
+import oracles
+
 
 # -- elementary families ------------------------------------------------
 
@@ -41,7 +43,9 @@ def test_dihedral():
     for order in (8, 16, 32):
         G = cs.dihedral(order)
         assert G.order == order and gp.is_dihedral_2group(G)
-    assert gp.is_elementary_abelian(cs.dihedral(4), 2)
+    V4 = cs.dihedral(4)
+    assert gp.is_elementary_abelian(V4, 2)
+    assert V4.label == "D4=V4" and V4.provenance == "disjoint cycles action"
     assert cs.dihedral(12).order == 12
     with pytest.raises(InvalidSpec):
         cs.dihedral(7)
@@ -120,6 +124,50 @@ def test_semidirect_product_inversion():
                                      cs.automorphism_from_generator_images(
                                          N, {g: N.inv(g)})})
     assert G.order == 6 and not gp.is_abelian(G)
+
+
+# -- builders against the table paths they replaced ---------------------
+
+def _c49_c21():
+    N, H = cs.cyclic(49), cs.cyclic(21)
+    g = N.generators[0]  # x -> x^2 has order 21 mod 49
+    aut = cs.automorphism_from_generator_images(N, {g: N.power(g, 2)})
+    return cs.semidirect_product(N, H, {H.generators[0]: aut})
+
+
+def _catalog_of_kind(kind):
+    return [n for n in cs.catalog_names() if cs.catalog(n).kind == kind]
+
+
+ABSTRACT = {
+    "Q8": lambda: cs.quaternion(8),
+    "Q16": lambda: cs.quaternion(16),
+    "Heis(3)": lambda: cs._heisenberg(3, gp.DEFAULT_ELEMENT_CAP),
+    "Heis(5)": lambda: cs._heisenberg(5, gp.DEFAULT_ELEMENT_CAP),
+    "C49:C21": _c49_c21,
+    **{n: (lambda n=n: cs.build(cs.catalog(n)))
+       for n in _catalog_of_kind("semidirect_product")},
+}
+
+
+@pytest.mark.parametrize("name", list(ABSTRACT))
+def test_regular_representation_matches_table_path(name, monkeypatch):
+    G = ABSTRACT[name]()
+    monkeypatch.setattr(cs, "_from_mul", oracles.from_mul_by_table)
+    old = ABSTRACT[name]()
+    assert G.provenance == "regular representation"
+    assert (G.elements, G.generators, G.degree, G.provenance, G.label) == \
+        (old.elements, old.generators, old.degree, old.provenance, old.label)
+
+
+@pytest.mark.parametrize("name", _catalog_of_kind("central_product"))
+def test_central_product_matches_table_quotient(name, monkeypatch):
+    G = cs.build(cs.catalog(name))
+    monkeypatch.setattr(gp, "quotient_group", lambda P, K, label="":
+                        oracles.quotient_by_table(P, K).group)
+    old = cs.build(cs.catalog(name))
+    assert G.elements == old.elements
+    assert G.provenance == old.provenance == "coset action (regular)"
 
 
 # -- spec serialization -------------------------------------------------

@@ -16,6 +16,8 @@ from quillen.errors import (
     NotSolvable,
 )
 
+import oracles
+
 
 def G_of(name):
     return cs.catalog_group(name)
@@ -86,10 +88,7 @@ def test_table_bound_caps_every_cap():
               for x in range(30)] for i in range(15)]
     with pytest.raises(GroupTooLarge, match="exceeds cap 16384"):
         gp.group_from_generators(30, swaps, cap=10 ** 9)
-    # a table with too many rows is refused before a row is read
-    with pytest.raises(GroupTooLarge, match="exceeds cap 16384"):
-        gp.group_from_table([()] * 16385, cap=10 ** 9)
-    # and before the n^2 products of an abstract multiplication are listed
+    # an abstract multiplication is refused before a product is listed
     with pytest.raises(GroupTooLarge, match="exceeds cap 16384"):
         cs.quaternion(1 << 15, cap=10 ** 9)
 
@@ -183,7 +182,7 @@ def test_center_and_derived():
 def test_centralizer_normalizer():
     G = G_of("S4")
     P = gp.sylow_subgroup(G, 2)
-    N = gp.normalizer(G.full(), P)
+    N = oracles.normalizer(G.full(), P)
     assert N.member_set == P.member_set  # D8 is self-normalizing in S4
     t = G.elements_of_order(2)[0]
     C = gp.centralizer(G.full(), gp.subgroup_generated(G, [t]))
@@ -215,8 +214,8 @@ def test_sylow_subgroups():
     P3 = gp.sylow_subgroup(G, 3)
     assert P2.order == 8 and gp.is_dihedral_2group(P2)
     assert P3.order == 3
-    assert len(gp.all_sylow_subgroups(G, 2)) == 3
-    assert len(gp.all_sylow_subgroups(G, 3)) == 4
+    assert len(oracles.all_sylow_subgroups(G, 2)) == 3
+    assert len(oracles.all_sylow_subgroups(G, 3)) == 4
     # determinism
     assert gp.sylow_subgroup(G, 2).members == P2.members
 
@@ -259,28 +258,32 @@ def test_frattini():
 def test_quotient_group_s4_by_v4():
     G = G_of("S4")
     V = gp.o_p(G, 2)
-    q = gp.quotient_group(G, V)
-    assert q.group.order == 6
-    assert not gp.is_abelian(q.group)  # S3
-    # hom is a homomorphism
+    Q = gp.quotient_group(G, V)
+    assert Q.order == 6 and Q.provenance == "coset action (regular)"
+    assert not gp.is_abelian(Q)  # S3
+    # the table path's projection lands on the same element ids
+    q = oracles.quotient_by_table(G, V)
+    assert Q.elements == q.group.elements
     for a in range(0, G.order, 5):
         for b in range(0, G.order, 7):
-            assert q.hom[G.mul(a, b)] == q.group.mul(q.hom[a], q.hom[b])
-    # preimage/image round trip
-    K = gp.sylow_subgroup(q.group, 3)
+            assert q.hom[G.mul(a, b)] == Q.mul(q.hom[a], q.hom[b])
+    K = gp.sylow_subgroup(Q, 3)
     pre = q.preimage(K)
     assert pre.order == 12
     assert q.image(pre).member_set == K.member_set
-    # the shrunken generators still generate the quotient
-    Q = q.group
+    # the images of G's generators generate the quotient
     assert Q.closure(Q.generators) == frozenset(range(Q.order))
-    assert len(Q.generators) < Q.order - 1
+    assert len(Q.generators) <= len(G.generators)
 
 
 def test_quotient_requires_normality():
     G = G_of("S4")
     with pytest.raises(HypothesisViolated):
         gp.quotient_group(G, gp.sylow_subgroup(G, 3))
+    # N must lie in the subgroup it is taken out of
+    P3, V = gp.sylow_subgroup(G, 3), gp.o_p(G, 2)
+    with pytest.raises(HypothesisViolated):
+        gp.quotient_group(P3, V)
 
 
 def test_p_length():
@@ -462,17 +465,40 @@ def test_table_ids_follow_the_element_list():
 @pytest.mark.parametrize("name", ["S4", "SL(2,3)", "C3C3:C2", "D16xC2"])
 def test_table_matches_lookup_on_regular_representations(name):
     G = G_of(name)
-    R = gp.group_from_table(G.table.tolist())
+    R = gp.group_from_generators(G.order, G.table[list(G.generators)].tolist())
     assert R.degree == R.order == G.order and R.base == (0,)
+    assert R.elements == oracles.group_from_table(G.table.tolist()).elements
     _assert_table_exact(R)
+
+
+def _p_length_section(G, p):
+    """<P, P^g> and O_p(G) for the least g outside N_G(P), as in
+    p_length_bound_check; None when P is normal."""
+    P = gp.sylow_subgroup(G, p)
+    g = next((x for x in range(G.order)
+              if any(G.conj(y, x) not in P.member_set
+                     for y in P.generator_witness)), None)
+    if g is None:
+        return None
+    Pg = gp.conjugate_subgroup(P, g)
+    S = gp.subgroup_generated(G, set(P.generator_witness)
+                              | set(Pg.generator_witness))
+    return S, gp.o_p(G, p)
 
 
 @pytest.mark.parametrize("name", SMALL)
 def test_table_matches_lookup_on_p_length_quotients(name):
+    """G/N for the inner terms N of each upper p-series, and the section
+    <P, P^g>/O_p(G) of the p-length check: the elements the table path
+    gives, and an exact table."""
     G = G_of(name)
     for p in _primes(G.order):
-        for N in gp.p_length(G, p).series[1:-1]:
-            _assert_table_exact(gp.quotient_group(G, N).group)
+        section = _p_length_section(G, p)
+        for S, N in [(G, N) for N in gp.p_length(G, p).series[1:-1]] \
+                + ([section] if section else []):
+            Q = gp.quotient_group(S, N)
+            assert Q.elements == oracles.quotient_by_table(S, N).group.elements
+            _assert_table_exact(Q)
 
 
 # -- Sylow, O_p, O_p' and the p-series against the engines they replaced --
@@ -490,7 +516,7 @@ def _sylow_by_normalizer(G, p):
     with g^p in H, with N_G(H) built in full at each step."""
     H = G.trivial_subgroup()
     while G.order % (H.order * p) == 0:
-        N = gp.normalizer(G.full(), H)
+        N = oracles.normalizer(G.full(), H)
         ext = next(g for g in N.members if g not in H.member_set
                    and gp._is_p_power(G.element_order(g), p)
                    and G.power(g, p) in H.member_set)
@@ -500,7 +526,7 @@ def _sylow_by_normalizer(G, p):
 
 
 def _o_p_by_sylow_intersection(G, p):
-    syl = [S.member_set for S in gp.all_sylow_subgroups(G, p)]
+    syl = [S.member_set for S in oracles.all_sylow_subgroups(G, p)]
     return frozenset.intersection(*syl) if syl else frozenset([G.identity])
 
 
@@ -523,7 +549,7 @@ def _p_series_by_quotients(G, p):
     the quotient group by the term before."""
     series, phase_p = [frozenset([G.identity])], False
     while len(series[-1]) < G.order:
-        q = gp.quotient_group(G, gp.Subgroup(G, series[-1]))
+        q = oracles.quotient_by_table(G, gp.Subgroup(G, series[-1]))
         oracle = _o_p_by_sylow_intersection if phase_p \
             else _o_p_prime_by_cyclic_closures
         nxt = q.preimage(gp.Subgroup(q.group, oracle(q.group, p))).member_set
@@ -550,7 +576,7 @@ def _normal_subgroups(G):
 def test_o_p_and_o_p_prime_modulo_n_are_quotient_preimages(name):
     G = G_of(name)
     for N in _normal_subgroups(G):
-        q = gp.quotient_group(G, N)
+        q = oracles.quotient_by_table(G, N)
         for p in _primes(G.order):
             assert gp.o_p(G, p, N) == q.preimage(gp.o_p(q.group, p))
             assert gp.o_p_prime(G, p, N) == \

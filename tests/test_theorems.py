@@ -14,6 +14,8 @@ from quillen.errors import (DecompositionNotFound, HypothesisViolated,
                             PreconditionFailed)
 from quillen.homology import reduced_homology
 
+import oracles
+
 
 def G_of(name):
     return cs.catalog_group(name)
@@ -103,7 +105,8 @@ def _search_accepts(P, T, D, Zo):
     inter = len(T.member_set & D.member_set)
     if not Zo <= D or inter > 2 or T.order * D.order // inter != P.order:
         return False
-    if th._set_product(T, D) != P.member_set:
+    if frozenset(gp._product_set(P.parent, T.members, D.members)) \
+            != P.member_set:
         return False
     if not (gp.is_normal(T, P) and gp.is_normal(D, P)):
         return False
@@ -225,7 +228,8 @@ def _search_central_split(P, p):
         D = gp.Subgroup(G, dm)
         if (gp.is_extraspecial(D, p)
                 and gp.center(D).member_set == X.member_set
-                and th._set_product(Z, D) == P.member_set):
+                and frozenset(gp._product_set(G, Z.members, D.members))
+                == P.member_set):
             return D
     raise DecompositionNotFound("no extraspecial D")
 
@@ -296,16 +300,30 @@ def test_interval_rejects_non_torus():
 
 # -- wedge formula ------------------------------------------------------
 
-@pytest.mark.parametrize("name,p", [
-    ("S3", 2), ("S4", 3), ("C7:C3", 3), ("C5:V4", 2),
-    ("C3C3:C2", 2), ("C3:(D16xC2)", 2),
-])
+PW_ROWS = [("S3", 2), ("S4", 3), ("C7:C3", 3), ("C5:V4", 2),
+           ("C3C3:C2", 2), ("C3:(D16xC2)", 2)]
+
+
+@pytest.mark.parametrize("name,p", PW_ROWS)
 def test_wedge_formula(name, p):
     G = G_of(name)
     assert gp.o_p_prime(G, p).order > 1
     v = th.verify_pulkus_welker(G, p)
     assert v.agrees is True
     assert v.computed["lhs"] == v.computed["rhs"]
+
+
+@pytest.mark.parametrize("names,p", [((n,), p) for n, p in PW_ROWS]
+                         + [(("S3", "S3", "S3"), 2), (("S4", "S3"), 2),
+                            (("C7:C3", "C7:C3"), 3)],
+                         ids=lambda x: "x".join(x) if isinstance(x, tuple)
+                         else f"p{x}")
+def test_wedge_formula_matches_quotient_group_right_hand_side(names, p):
+    G = cs.direct_product([G_of(n) for n in names]) if len(names) > 1 \
+        else G_of(names[0])
+    v = th.verify_pulkus_welker(G, p)
+    assert v.to_json() == \
+        oracles.verify_pulkus_welker_by_quotient(G, p).to_json()
 
 
 def test_wedge_formula_s3_values():
