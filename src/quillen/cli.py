@@ -158,10 +158,9 @@ def cmd_quillen(args) -> int:
         if args.brown:
             with _timer(timings, "brown"):
                 # the homotopy equivalence with the torus complex holds
-                # for the poset of ALL nontrivial p-subgroups (whole
-                # group included when G itself is a p-group)
-                B = ps.order_complex(ps.brown_poset(
-                    G, p, include_whole_group=True))
+                # for the poset of ALL nontrivial p-subgroups, which
+                # brown_poset gives (G itself included when a p-group)
+                B = ps.order_complex(ps.brown_poset(G, p))
                 bprof = reduced_homology(B)
             brown_agrees = bprof == prof
             analyses["brown"] = {"dim": B.dim, "profile": bprof.to_json(),
@@ -328,8 +327,7 @@ def _run_instance(inst: dict, max_order: Optional[int]) -> dict:
                                 "dim": C.dim, "profile": prof.to_json()}
             elif chk == "brown":
                 _, _, prof = quillen_data()
-                B = ps.order_complex(
-                    ps.brown_poset(G, p, include_whole_group=True))
+                B = ps.order_complex(ps.brown_poset(G, p))
                 bprof = reduced_homology(B)
                 results[chk] = {"agrees": bprof == prof,
                                 "profile": bprof.to_json()}

@@ -564,20 +564,21 @@ def p_length(G: Group, p: int) -> PSeriesReport:
 
 # -- rank and p-group structure -----------------------------------------
 
-def elementary_abelian_subgroups(G: Group, p: int,
-                                 within: Optional[Subgroup] = None) -> list:
-    """All nontrivial elementary abelian p-subgroups (as member frozensets),
-    grown from the subgroups of order p by centralizing order-p elements."""
-    amb = _ambient(G, within, lambda o: o == p)
+def elementary_abelian_subgroups(S, p: int) -> list:
+    """All nontrivial elementary abelian p-subgroups of the Group or
+    Subgroup S (as member frozensets), grown from the subgroups of order
+    p by centralizing order-p elements."""
+    S = _as_subgroup(S)
+    G = S.parent
+    amb = _ambient(S, lambda o: o == p)
     seeds = (G.closure([x]) for x in sorted(amb) if x != G.identity)
     return _grow(G, amb, seeds, lambda H, g: _centralizes(G, g, H))
 
 
-def _ambient(G: Group, within: Optional[Subgroup], keep) -> frozenset:
-    """The identity and the elements of ``within`` (default G) whose
-    order passes ``keep``."""
-    amb = within.member_set if within is not None else range(G.order)
-    return frozenset(x for x in amb
+def _ambient(S: Subgroup, keep) -> frozenset:
+    """The identity and the members of S whose order passes ``keep``."""
+    G = S.parent
+    return frozenset(x for x in S.members
                      if x == G.identity or keep(G.element_order(x)))
 
 
@@ -619,20 +620,29 @@ def _cyclic_ids(G: Group, g: int) -> tuple:
     return tuple(ids)
 
 
+def _p_rank(order: int, p: int) -> int:
+    """r with order = p^r."""
+    r = 0
+    while order > 1:
+        order //= p
+        r += 1
+    return r
+
+
 def rank(P, p: int) -> int:
+    """The largest r with a torus of order p^r in the p-group P.  Only
+    the tori above Omega1(Z(P)) are grown: T·Omega1(Z(P)) is a torus for
+    every torus T, so each maximal torus contains Omega1(Z(P))."""
     P = _as_subgroup(P)
     if not is_p_group(P, p):
         raise NotAPGroup("rank requires a p-group")
     if P.order == 1:
         return 0
-    tori = elementary_abelian_subgroups(P.parent, p, within=P)
-    if not tori:
-        return 0
-    best = max(len(s) for s in tori)
-    r = 0
-    while p ** r < best:
-        r += 1
-    return r
+    G = P.parent
+    tori = _grow(G, _ambient(P, lambda o: o == p),
+                 [omega1(center(P), p).member_set],
+                 lambda H, g: _centralizes(G, g, H))
+    return _p_rank(len(tori[-1]), p)
 
 
 def frattini_subgroup(P, p: int) -> Subgroup:
@@ -692,27 +702,28 @@ def _dihedral_like(S, twist) -> bool:
 
 # -- p-subgroup enumeration (for the Brown poset and Sylow counting) ----
 
-def all_p_subgroups(G: Group, p: int,
-                    within: Optional[Subgroup] = None) -> list:
-    """All nontrivial p-subgroups (as member frozensets), by index-p
-    extension from the subgroups of order p.  A p-subgroup of order
-    p^(k+1) has a normal subgroup H of index p, and every g of it outside
-    H normalizes H with g^p in H; such a g makes H<g> of order p|H|."""
-    amb = _ambient(G, within, lambda o: _is_p_power(o, p))
+def all_p_subgroups(S, p: int) -> list:
+    """All nontrivial p-subgroups of the Group or Subgroup S (as member
+    frozensets), by index-p extension from the subgroups of order p.  A
+    p-subgroup of order p^(k+1) has a normal subgroup H of index p, and
+    every g of it outside H normalizes H with g^p in H; such a g makes
+    H<g> of order p|H|."""
+    S = _as_subgroup(S)
+    G = S.parent
+    amb = _ambient(S, lambda o: _is_p_power(o, p))
     seeds = (G.closure([x]) for x in sorted(amb)
              if G.element_order(x) == p)
     return _grow(G, amb, seeds, lambda H, g: _extends_p(G, p, H, g))
 
 
-def all_subgroups(G: Group, within: Optional[Subgroup] = None) -> list:
-    """All subgroups (as member frozensets) of a small group, by
-    extension BFS: H<g> for every found H and every g outside it, closed
-    from a generating tuple of H plus g.  Every element of the coset Hg
-    gives the same H<g>, so one per coset is closed.  Exponential in the
-    subgroup count; desk scale only."""
-    amb = sorted(within.member_set) if within is not None \
-        else list(range(G.order))
-    ambset = frozenset(amb)
+def all_subgroups(S) -> list:
+    """All subgroups (as member frozensets) of the small Group or
+    Subgroup S, by extension BFS: H<g> for every found H and every g of S
+    outside it, closed from a generating tuple of H plus g.  Every
+    element of the coset Hg gives the same H<g>, so one per coset is
+    closed.  Exponential in the subgroup count; desk scale only."""
+    S = _as_subgroup(S)
+    G = S.parent
     found = {frozenset([G.identity]): ()}  # subgroup -> generating tuple
     cur = list(found.items())
     while cur:
@@ -720,21 +731,22 @@ def all_subgroups(G: Group, within: Optional[Subgroup] = None) -> list:
         for H, gens in cur:
             hs = sorted(H)
             done = set(H)
-            for g in amb:
+            for g in S.members:
                 if g in done:
                     continue
                 done.update(G.table[hs, g].tolist())
                 K = G.closure(gens + (g,))
-                if K <= ambset and K not in found and K not in nxt:
+                if K not in found and K not in nxt:
                     nxt[K] = gens + (g,)
         found.update(nxt)
         cur = list(nxt.items())
     return sorted(found, key=lambda s: (len(s), tuple(sorted(s))))
 
 
-def abelian_subgroups(G: Group, within: Optional[Subgroup] = None) -> list:
-    """All abelian subgroups (including the trivial one), by extension
-    over centralizing elements."""
-    amb = within.member_set if within is not None else frozenset(range(G.order))
-    return _grow(G, amb, [frozenset([G.identity])],
+def abelian_subgroups(S) -> list:
+    """All abelian subgroups of the Group or Subgroup S (including the
+    trivial one), by extension over centralizing elements."""
+    S = _as_subgroup(S)
+    G = S.parent
+    return _grow(G, S.member_set, [frozenset([G.identity])],
                  lambda H, g: _centralizes(G, g, H))

@@ -33,6 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
+from .group import _p_rank
 from .poset import (
     SimplicialComplex,
     SubgroupPoset,
@@ -461,12 +462,3 @@ def _link_failure(C: SimplicialComplex, s) -> Optional[str]:
         return None
     return (f"link of {sorted(s)} (dim {k}): {v.witness or 'not '}"
             f"{r}-spherical; {v.profile.describe()}")
-
-
-def _p_rank(order: int, p: int) -> int:
-    """r with order = p^r."""
-    r = 0
-    while order > 1:
-        order //= p
-        r += 1
-    return r

@@ -28,15 +28,13 @@ class SubgroupPoset:
     """An inclusion-ordered family of subgroups of a ground group, with
     canonical node order (by subgroup order, then member tuple)."""
 
-    def __init__(self, ground_group: Group, nodes: Iterable[Subgroup],
-                 kind: str = ""):
+    def __init__(self, ground_group: Group, nodes: Iterable[Subgroup]):
         seen = {}
         for S in nodes:
             seen.setdefault(S.members, S)
         self.ground_group = ground_group
         self.nodes = [seen[m] for m in
                       sorted(seen, key=lambda m: (len(m), m))]
-        self.kind = kind
         self._index = {S.members: i for i, S in enumerate(self.nodes)}
         n = len(self.nodes)
         # above[i] = indices of nodes strictly containing node i; only a
@@ -63,39 +61,34 @@ class SubgroupPoset:
             raise NodeNotInPoset(f"subgroup of order {S.order} not in poset") \
                 from None
 
-    def induced(self, indices: Iterable[int], kind: str = "") -> "SubgroupPoset":
+    def induced(self, indices: Iterable[int]) -> "SubgroupPoset":
         return SubgroupPoset(self.ground_group,
-                             [self.nodes[i] for i in indices],
-                             kind or self.kind)
+                             [self.nodes[i] for i in indices])
 
 
 # -- poset builders -----------------------------------------------------
 
-def quillen_poset(G: Group, p: int,
-                  within: Optional[Subgroup] = None) -> SubgroupPoset:
-    """A_p: all nontrivial elementary abelian p-subgroups."""
-    sets = gp.elementary_abelian_subgroups(G, p, within=within)
-    return SubgroupPoset(G, [Subgroup(G, s) for s in sets], kind=f"A_{p}")
+def _poset(S, sets) -> SubgroupPoset:
+    G = gp._as_subgroup(S).parent
+    return SubgroupPoset(G, [Subgroup(G, s) for s in sets])
 
 
-def brown_poset(G: Group, p: int, within: Optional[Subgroup] = None,
-                include_whole_group: bool = False) -> SubgroupPoset:
-    """S_p: all nontrivial p-subgroups, proper in G (per the stated
-    definition; set ``include_whole_group`` to keep a p-group G itself)."""
-    sets = gp.all_p_subgroups(G, p, within=within)
-    if not include_whole_group:
-        whole = frozenset(range(G.order)) if within is None \
-            else within.member_set
-        sets = [s for s in sets if s != whole]
-    return SubgroupPoset(G, [Subgroup(G, s) for s in sets], kind=f"S_{p}")
+def quillen_poset(S, p: int) -> SubgroupPoset:
+    """A_p(S): all nontrivial elementary abelian p-subgroups of the Group
+    or Subgroup S."""
+    return _poset(S, gp.elementary_abelian_subgroups(S, p))
 
 
-def ab_poset(D: Subgroup) -> SubgroupPoset:
+def brown_poset(S, p: int) -> SubgroupPoset:
+    """S_p(S): all nontrivial p-subgroups of the Group or Subgroup S, S
+    itself included when it is a p-group.  This is the poset whose order
+    complex is homotopy equivalent to that of A_p(S) (Quillen 1978)."""
+    return _poset(S, gp.all_p_subgroups(S, p))
+
+
+def ab_poset(D) -> SubgroupPoset:
     """Ab(D): all abelian subgroups of D (including the trivial one)."""
-    D = gp._as_subgroup(D)
-    G = D.parent
-    sets = gp.abelian_subgroups(G, within=D)
-    return SubgroupPoset(G, [Subgroup(G, s) for s in sets], kind="Ab")
+    return _poset(D, gp.abelian_subgroups(D))
 
 
 def upper_interval(P: SubgroupPoset, x: Subgroup) -> SubgroupPoset:
@@ -153,8 +146,7 @@ class SimplicialComplex:
     """Abstract simplicial complex on integer vertex ids, closed under
     faces and always containing the empty simplex."""
 
-    def __init__(self, simplices: Iterable[frozenset],
-                 labels: Optional[list] = None, close: bool = False):
+    def __init__(self, simplices: Iterable[frozenset], close: bool = False):
         simps = set(map(frozenset, simplices))
         simps.add(frozenset())
         if close:
@@ -165,7 +157,6 @@ class SimplicialComplex:
             simps = closed
         self.simplices = frozenset(simps)
         self.vertices = sorted(set().union(*simps)) if simps else []
-        self.labels = labels
         self.dim = max((len(s) for s in simps), default=0) - 1
         self._by_dim = None  # dim -> sorted tuple, built on first query
 
@@ -230,7 +221,7 @@ def order_complex(P: SubgroupPoset) -> SimplicialComplex:
 
     for i in range(n):
         extend([i], i)
-    return SimplicialComplex(chains, labels=list(P.nodes))
+    return SimplicialComplex(chains)
 
 
 def link(C: SimplicialComplex, sigma) -> SimplicialComplex:

@@ -23,20 +23,17 @@ class AnalysisReport:
     analyses: dict              # name -> json-able payload
     timings: dict = field(default_factory=dict)  # stage -> seconds
 
-    def to_json(self, include_timings: bool = True) -> dict:
-        out = {"version": VERSION,
-               "command": self.command,
-               "spec": self.spec,
-               "group": self.group_stats,
-               "analyses": self.analyses,
-               "caveat": HOMOLOGY_PROXY_CAVEAT}
-        if include_timings:
-            out["timings"] = {k: round(v, 3)
-                              for k, v in self.timings.items()}
-        return out
+    def to_json(self) -> dict:
+        return {"version": VERSION,
+                "command": self.command,
+                "spec": self.spec,
+                "group": self.group_stats,
+                "analyses": self.analyses,
+                "caveat": HOMOLOGY_PROXY_CAVEAT,
+                "timings": {k: round(v, 3) for k, v in self.timings.items()}}
 
-    def dumps(self, include_timings: bool = True) -> str:
-        return json.dumps(self.to_json(include_timings), sort_keys=True,
+    def dumps(self) -> str:
+        return json.dumps(self.to_json(), sort_keys=True,
                           indent=2, ensure_ascii=False) + "\n"
 
     def render_text(self) -> str:

@@ -342,12 +342,6 @@ def _td_checks(P, T, D, E, Zo) -> tuple:
 
 # -- upper-interval predictions -----------------------------------------
 
-def _interval_of(G: Group, p: int, within: Subgroup,
-                 X: Subgroup) -> ps.SubgroupPoset:
-    A = ps.quillen_poset(G, p, within=within)
-    return ps.upper_interval(A, X)
-
-
 def upper_interval_check(P, p: int, X) -> TheoremVerdict:
     """Predict and verify the homology of the interval of tori strictly
     above X in a p-group P, by case analysis: conjunctive-element
@@ -362,10 +356,10 @@ def upper_interval_check(P, p: int, X) -> TheoremVerdict:
         raise HypothesisViolated("P a p-group")
     if not gp.is_elementary_abelian(X, p) or X.order == 1:
         raise HypothesisViolated("X a nontrivial p-torus")
-    I = _interval_of(G, p, P, X)
+    I = ps.upper_interval(ps.quillen_poset(P, p), X)
     prof = reduced_homology(ps.order_complex(I))
     computed = {"interval_nodes": len(I), "profile": prof.to_json()}
-    rkX = gp.rank(X, p)
+    rkX = gp._p_rank(X.order, p)
 
     if len(I) == 0:
         agrees = prof.nonzero_degrees() == (-1,)
@@ -390,7 +384,7 @@ def upper_interval_check(P, p: int, X) -> TheoremVerdict:
         P2 = _greedy_complement(gp.centralizer(P, X), X, Z)
         rk2 = gp.rank(P2, p)
         r = rk2 - 2
-        I2 = _interval_of(G, p, P2, Z)
+        I2 = ps.upper_interval(ps.quillen_poset(P2, p), Z)
         prof2 = reduced_homology(ps.order_complex(I2))
         v = sphericity(None, r, profile=prof)
         iso_ok = len(I2) == len(I) and prof2 == prof
@@ -476,7 +470,8 @@ def verify_pulkus_welker(G: Group, p: int) -> TheoremVerdict:
     N = O_{p'}(G) nontrivial solvable.  No quotient group is built: N is
     a p'-group, so every torus of G/N is AN/N for a torus A of G, and
     A -> NA maps A_p(G) onto the preimages of the tori of G/N, keeping
-    inclusion; the quotient complex is taken on those preimages."""
+    inclusion; the quotient complex is taken on those preimages.  The
+    tori of NA are the nodes of A inside NA, so A is walked once."""
     N = gp.o_p_prime(G, p)
     if N.order == 1:
         raise PreconditionFailed("O_{p'}(G) = 1")
@@ -493,7 +488,8 @@ def verify_pulkus_welker(G: Group, p: int) -> TheoremVerdict:
     base = ps.order_complex(PQ)
     pieces = []
     for i, NA in enumerate(PQ.nodes):
-        c_na = ps.order_complex(ps.quillen_poset(G, p, within=NA))
+        c_na = ps.order_complex(
+            A.induced(j for j, X in enumerate(A.nodes) if X <= NA))
         iv = ps.upper_interval(PQ, NA)
         c_iv = ps.order_complex(iv)
         pieces.append((ps.join(c_na, c_iv), i))

@@ -1,6 +1,7 @@
 """Reference constructions that only the tests use: poset intervals, the
 Hasse diagram, facets and the reduced Euler characteristic, each by the
-direct definition; normalizers and the list of Sylow subgroups; and the
+direct definition; normalizers, the list of Sylow subgroups and the
+rank read off every torus; and the
 group builders that the permutation-generator path replaced: groups from
 a full multiplication table, quotient groups with their projection, and
 the wedge formula's right-hand side over a quotient group."""
@@ -60,6 +61,12 @@ def normalizer(S, X) -> Subgroup:
     members = [s for s in S.members
                if all(G.conj(x, s) in X.member_set for x in gens)]
     return Subgroup(G, members)
+
+
+def rank_by_all_tori(P, p: int) -> int:
+    """The rank of the p-group P, read off every torus of P."""
+    tori = gp.elementary_abelian_subgroups(P, p)
+    return max((gp._p_rank(len(T), p) for T in tori), default=0)
 
 
 def all_sylow_subgroups(G: Group, p: int) -> list:
@@ -164,7 +171,7 @@ def verify_pulkus_welker_by_quotient(G: Group, p: int) -> TheoremVerdict:
     pieces = []
     for i, Abar in enumerate(PQ.nodes):
         NA = Q.preimage(Abar)
-        c_na = ps.order_complex(ps.quillen_poset(G, p, within=NA))
+        c_na = ps.order_complex(ps.quillen_poset(NA, p))
         c_iv = ps.order_complex(ps.upper_interval(PQ, Abar))
         pieces.append((ps.join(c_na, c_iv), i))
     base = ps.order_complex(PQ)

@@ -102,8 +102,7 @@ def test_criterion_3_brown_equals_quillen():
         for name, p in instances:
             G = G_of(name)
             q = quillen_profile(G, p)
-            b = reduced_homology(ps.order_complex(
-                ps.brown_poset(G, p, include_whole_group=True)))
+            b = reduced_homology(ps.order_complex(ps.brown_poset(G, p)))
             assert b == q, (name, p, q.describe(), b.describe())
 
 

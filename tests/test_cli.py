@@ -247,6 +247,52 @@ def test_suite_matches_pinned_report(tmp_path):
         assert text == fh.read()
 
 
+GOLDEN_COMMANDS = os.path.join(os.path.dirname(__file__), "golden",
+                               "commands.json")
+
+# two small catalog groups per group command, both primes represented;
+# upper-interval also takes the cyclic-central-product reduction
+PINNED_COMMANDS = [
+    ["quillen", "--brown", "--name", "S4", "--prime", "2"],
+    ["quillen", "--brown", "--name", "ES27+", "--prime", "3"],
+    ["cm-check", "--name", "S4", "--prime", "2"],
+    ["cm-check", "--name", "C3C3:SL(2,3)", "--prime", "3"],
+    ["decompose", "--name", "D16xC2", "--prime", "2"],
+    ["decompose", "--name", "ES27+", "--prime", "3"],
+    ["upper-interval", "--name", "D8oD8", "--prime", "2"],
+    ["upper-interval", "--name", "D8oC4", "--prime", "2"],
+    ["upper-interval", "--name", "ES27+xC3", "--prime", "3"],
+    ["pw-verify", "--name", "C3:(D16xC2)", "--prime", "2"],
+    ["pw-verify", "--name", "C7:C3", "--prime", "3"],
+    ["plength", "--name", "S4", "--prime", "2"],
+    ["plength", "--name", "C3C3:SL(2,3)", "--prime", "3"],
+    ["main-check", "--name", "C3:(D16xC2)", "--prime", "2"],
+    ["main-check", "--name", "C7:C3", "--prime", "3"],
+]
+
+
+def pinned_commands_text(out_path) -> str:
+    """Each pinned command's exit code and JSON report, timings removed,
+    as one document."""
+    entries = []
+    for args in PINNED_COMMANDS:
+        code, text = run_cli(args + ["--format", "json"], out_path)
+        entries.append({"args": args, "exit": code,
+                        "report": _strip_timings(json.loads(text))})
+    return json.dumps(entries, sort_keys=True, indent=2,
+                      ensure_ascii=False) + "\n"
+
+
+def test_commands_match_pinned_reports(tmp_path):
+    """Every group command's report outside `timings`, `group` statistics
+    included, and its exit code are byte-identical to the pinned ones.
+    Rewrite the pinned file only with a change that means to change a
+    report: `PYTHONPATH=src python tests/test_cli.py`."""
+    text = pinned_commands_text(tmp_path / "r.json")
+    with open(GOLDEN_COMMANDS, encoding="utf-8") as fh:
+        assert text == fh.read()
+
+
 # -- console entry point ------------------------------------------------
 
 def test_console_script_runs():
@@ -284,3 +330,12 @@ def test_numpy_loaded_only_by_the_group_layer(tmp_path):
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "out.txt").read_text() == "dim 1\nH~_1=Z^1\n"
+
+
+if __name__ == "__main__":
+    import pathlib
+    import tempfile
+    with tempfile.TemporaryDirectory() as tmp:
+        text = pinned_commands_text(pathlib.Path(tmp) / "r.json")
+    with open(GOLDEN_COMMANDS, "w", encoding="utf-8") as fh:
+        fh.write(text)

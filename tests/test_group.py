@@ -247,6 +247,24 @@ def test_rank():
     assert gp.rank(G_of("C3xC3").full(), 3) == 2
 
 
+RANK_PRODUCTS = [("S4", "A4"), ("S4", "C5:V4"), ("S4", "C7:C3"),
+                 ("SL(2,3)", "C7:C3"), ("C3C3:SL(2,3)", "C2"),
+                 ("S3", "S3", "S3")]
+
+
+@pytest.mark.parametrize("names", [(n,) for n in cs.catalog_names()]
+                         + RANK_PRODUCTS, ids="x".join)
+def test_rank_matches_every_torus(names):
+    """The rank grown above Omega1(Z(P)) equals the largest order of all
+    the tori of P, on every Sylow subgroup of the catalog groups and of
+    products of them."""
+    G = cs.direct_product([G_of(n) for n in names]) if len(names) > 1 \
+        else G_of(names[0])
+    for p in _primes(G.order):
+        P = gp.sylow_subgroup(G, p)
+        assert gp.rank(P, p) == oracles.rank_by_all_tori(P, p), p
+
+
 def test_frattini():
     assert gp.frattini_subgroup(G_of("D8").full(), 2).order == 2
     assert gp.frattini_subgroup(G_of("V4").full(), 2).order == 1
@@ -359,16 +377,16 @@ def test_enumerators_match_filtered_all_subgroups(name):
     assert gp.abelian_subgroups(G) == [K for K in subs if gp.is_abelian(S[K])]
     for p in _primes(G.order):
         P = gp.sylow_subgroup(G, p)
-        for within in (None, P):
-            inside = [K for K in subs
-                      if within is None or K <= within.member_set]
+        inP = [K for K in subs if K <= P.member_set]
+        assert gp.all_subgroups(P) == inP
+        for scope, inside in ((G, subs), (P, inP)):
             psubs = [K for K in inside
                      if len(K) > 1 and gp.is_p_group(S[K], p)]
-            assert gp.all_p_subgroups(G, p, within=within) == psubs
-            assert gp.elementary_abelian_subgroups(G, p, within=within) == \
+            assert gp.all_p_subgroups(scope, p) == psubs
+            assert gp.elementary_abelian_subgroups(scope, p) == \
                 [K for K in psubs if gp.is_elementary_abelian(S[K], p)]
-        assert gp.abelian_subgroups(G, within=P) == \
-            [K for K in subs if K <= P.member_set and gp.is_abelian(S[K])]
+        assert gp.abelian_subgroups(P) == \
+            [K for K in inP if gp.is_abelian(S[K])]
 
 
 @pytest.mark.parametrize("name", SMALL)

@@ -126,7 +126,7 @@ def test_decompose_d_is_the_centralizer(name):
     assert cands
     for T, _ in cands:
         CT = gp.centralizer(P, T)
-        accepted = [dm for dm in gp.all_subgroups(G, within=CT)
+        accepted = [dm for dm in gp.all_subgroups(CT)
                     if _search_accepts(P, T, gp.Subgroup(G, dm), Zo)]
         assert accepted in ([], [CT.member_set])
     rep = th.decompose_2group(P)
@@ -224,7 +224,7 @@ def _search_central_split(P, p):
     G = P.parent
     Z = gp.center(P)
     X = gp.omega1(Z, p)
-    for dm in gp.all_subgroups(G, within=P):
+    for dm in gp.all_subgroups(P):
         D = gp.Subgroup(G, dm)
         if (gp.is_extraspecial(D, p)
                 and gp.center(D).member_set == X.member_set
@@ -324,6 +324,22 @@ def test_wedge_formula_matches_quotient_group_right_hand_side(names, p):
     v = th.verify_pulkus_welker(G, p)
     assert v.to_json() == \
         oracles.verify_pulkus_welker_by_quotient(G, p).to_json()
+
+
+def test_wedge_formula_walks_the_tori_once(monkeypatch):
+    """The tori of each preimage NA are read off the torus poset of G,
+    so the tori are enumerated once per call."""
+    calls = []
+    walk = gp.elementary_abelian_subgroups
+
+    def counted(S, p):
+        calls.append(S)
+        return walk(S, p)
+
+    monkeypatch.setattr(gp, "elementary_abelian_subgroups", counted)
+    v = th.verify_pulkus_welker(G_of("C3:(D16xC2)"), 2)
+    assert v.agrees is True and v.computed["summands"] > 1
+    assert len(calls) == 1
 
 
 def test_wedge_formula_s3_values():
