@@ -26,11 +26,11 @@ from .poset import (
 from .homology import (
     HomologyProfile,
     SphericityVerdict,
+    TorusComplex,
     is_cohen_macaulay,
     reduced_homology,
     smith_normal_form,
     sphericity,
-    torus_complex_cohen_macaulay,
 )
 from .theorems import (
     StructureReport,
@@ -59,6 +59,7 @@ __all__ = [
     "Subgroup",
     "SubgroupPoset",
     "TheoremVerdict",
+    "TorusComplex",
     "WedgeAssembly",
     "ab_poset",
     "brown_poset",
@@ -81,7 +82,6 @@ __all__ = [
     "reduced_homology",
     "smith_normal_form",
     "sphericity",
-    "torus_complex_cohen_macaulay",
     "upper_interval",
     "upper_interval_check",
     "verify_pulkus_welker",

@@ -28,12 +28,8 @@ from .errors import (
     QuillenError,
     UnknownName,
 )
-from .group import DEFAULT_ELEMENT_CAP, Group
-from .homology import (
-    HOMOLOGY_PROXY_CAVEAT,
-    reduced_homology,
-    torus_complex_cohen_macaulay,
-)
+from .group import DEFAULT_ELEMENT_CAP, TABLE_ORDER_CAP, Group
+from .homology import HOMOLOGY_PROXY_CAVEAT, TorusComplex, reduced_homology
 from .report import VERSION, AnalysisReport, group_stats
 
 EXIT_OK = 0
@@ -95,7 +91,10 @@ def _require_prime(args) -> int:
     if args.prime is None:
         raise InvalidSpec("--prime is required for this command")
     p = args.prime
-    if p < 2 or any(p % d == 0 for d in range(2, int(p ** 0.5) + 1)):
+    if p > TABLE_ORDER_CAP:  # no group built has an order divisible by p
+        raise InvalidSpec(f"--prime {p} exceeds the largest group order "
+                          f"{TABLE_ORDER_CAP}")
+    if not gp._is_prime(p):
         raise InvalidSpec(f"--prime must be a prime, got {p}")
     return p
 
@@ -147,12 +146,12 @@ def _group_command(args, command: str, run) -> int:
 
 def cmd_quillen(args) -> int:
     def run(G, p, timings):
+        T = TorusComplex(G, p)
         with _timer(timings, "complex"):
-            P = ps.quillen_poset(G, p)
-            C = ps.order_complex(P)
+            C = T.complex
         with _timer(timings, "homology"):
-            prof = reduced_homology(C)
-        analyses = {"quillen": {"poset_nodes": len(P), "dim": C.dim,
+            prof = T.profile
+        analyses = {"quillen": {"poset_nodes": len(T.poset), "dim": C.dim,
                                 "profile": prof.to_json()}}
         brown_agrees = None
         if args.brown:
@@ -175,11 +174,10 @@ def cmd_quillen(args) -> int:
 
 def cmd_cm_check(args) -> int:
     def run(G, p, timings):
+        T = TorusComplex(G, p)
         with _timer(timings, "cm_check"):
-            A = ps.quillen_poset(G, p)
-            C = ps.order_complex(A)
-            cm = torus_complex_cohen_macaulay(A, C)
-        return {"cohen_macaulay": cm.to_json(), "dim": C.dim}, EXIT_OK
+            cm = T.cohen_macaulay.to_json()
+        return {"cohen_macaulay": cm, "dim": T.complex.dim}, EXIT_OK
     return _group_command(args, "cm-check", run)
 
 
@@ -249,8 +247,9 @@ def _verdict_command(args, command: str, key: str, analysis: str,
 
 
 def cmd_pw_verify(args) -> int:
-    return _verdict_command(args, "pw-verify", "verify", "wedge_formula",
-                            th.verify_pulkus_welker)
+    return _verdict_command(
+        args, "pw-verify", "verify", "wedge_formula",
+        lambda G, p: th.verify_pulkus_welker(TorusComplex(G, p)))
 
 
 def cmd_plength(args) -> int:
@@ -259,8 +258,9 @@ def cmd_plength(args) -> int:
 
 
 def cmd_main_check(args) -> int:
-    return _verdict_command(args, "main-check", "main", "main_theorem",
-                            th.main_theorem_check)
+    return _verdict_command(
+        args, "main-check", "main", "main_theorem",
+        lambda G, p: th.main_theorem_check(TorusComplex(G, p)))
 
 
 def cmd_homology(args) -> int:
@@ -308,32 +308,21 @@ def _run_instance(inst: dict, max_order: Optional[int]) -> dict:
         del out["results"], out["timings"]
         return out
 
-    cache = {}
-
-    def quillen_data():
-        if "prof" not in cache:
-            P = ps.quillen_poset(G, p)
-            C = ps.order_complex(P)
-            cache["P"], cache["C"] = P, C
-            cache["prof"] = reduced_homology(C)
-        return cache["P"], cache["C"], cache["prof"]
-
+    T = TorusComplex(G, p)
     for chk in checks:
         t0 = time.perf_counter()
         try:
             if chk == "quillen":
-                P, C, prof = quillen_data()
-                results[chk] = {"agrees": None, "poset_nodes": len(P),
-                                "dim": C.dim, "profile": prof.to_json()}
+                results[chk] = {"agrees": None, "poset_nodes": len(T.poset),
+                                "dim": T.complex.dim,
+                                "profile": T.profile.to_json()}
             elif chk == "brown":
-                _, _, prof = quillen_data()
                 B = ps.order_complex(ps.brown_poset(G, p))
                 bprof = reduced_homology(B)
-                results[chk] = {"agrees": bprof == prof,
+                results[chk] = {"agrees": bprof == T.profile,
                                 "profile": bprof.to_json()}
             elif chk == "cm":
-                P, C, prof = quillen_data()
-                cm = torus_complex_cohen_macaulay(P, C, prof)
+                cm = T.cohen_macaulay
                 results[chk] = {"agrees": cm.cohen_macaulay,
                                 "verdict": cm.to_json()}
             elif chk == "decompose":
@@ -341,29 +330,25 @@ def _run_instance(inst: dict, max_order: Optional[int]) -> dict:
                 results[chk] = {"agrees": rep.all_checks_pass(),
                                 "structure": rep.to_json()}
             elif chk == "pw":
-                v = th.verify_pulkus_welker(G, p)
+                v = th.verify_pulkus_welker(T)
                 results[chk] = {"agrees": v.agrees,
                                 "verdict": v.to_json()}
             elif chk == "plength":
                 v = th.p_length_bound_check(G, p)
                 results[chk] = {"agrees": v.agrees, "verdict": v.to_json()}
             elif chk == "main":
-                v = th.main_theorem_check(G, p)
+                v = th.main_theorem_check(T)
                 results[chk] = {"agrees": v.agrees, "claim": v.claim,
                                 "verdict": v.to_json()}
             elif chk == "certs":
-                P, _, prof = quillen_data()
                 op_nontrivial = gp.o_p(G, p).order > 1
-                acyclic = prof.is_trivial()
-                conj = ps.find_conjunctive_element(P)
+                acyclic = T.profile.is_trivial()
+                conj = ps.find_conjunctive_element(T.poset)
                 conj_ok = conj is None or acyclic
                 results[chk] = {
                     "agrees": (op_nontrivial == acyclic) and conj_ok,
                     "o_p_nontrivial": op_nontrivial, "acyclic": acyclic,
                     "conjunctive_found": conj is not None}
-        except DecompositionNotFound as e:
-            results[chk] = {"agrees": False,
-                            "error": f"DecompositionNotFound: {e}"}
         except QuillenError as e:
             results[chk] = {"agrees": False,
                             "error": f"{type(e).__name__}: {e}"}

@@ -620,6 +620,10 @@ def _cyclic_ids(G: Group, g: int) -> tuple:
     return tuple(ids)
 
 
+def _is_prime(n: int) -> bool:
+    return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
+
+
 def _p_rank(order: int, p: int) -> int:
     """r with order = p^r."""
     r = 0

@@ -22,24 +22,28 @@ a factor shifts homology up by m-1 and multiplies it, so the link is
 spherical in its degree exactly when Delta(A>xk) is.  Hence Delta(A) is
 Cohen-Macaulay iff it is d-spherical and, for every torus x of rank r
 (|x| = p^r), Delta(A>x) is (d-r)-spherical; and that interval depends
-only on the G-class of x.  `torus_complex_cohen_macaulay` checks one
-interval per class.  It needs A to be the full A_p(G) of its ground
+only on the G-class of x.  `TorusComplex.cohen_macaulay` checks one
+interval per class.  That needs A to be the full A_p(G) of its ground
 group: every elementary abelian p-subgroup, so that each factor above
 is a whole subspace poset and A is closed under conjugation.
+`TorusComplex` builds A so, and it is the one place where the package
+builds and reduces the torus complex of a ground group.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from functools import cached_property
+from typing import Iterator, Optional, Sequence
 
-from .group import _p_rank
+from .group import Group, _p_rank
 from .poset import (
     SimplicialComplex,
     SubgroupPoset,
     conjugacy_classes,
     link,
     order_complex,
+    quillen_poset,
 )
 
 HOMOLOGY_PROXY_CAVEAT = (
@@ -381,25 +385,15 @@ class SphericityVerdict:
                 "caveat": HOMOLOGY_PROXY_CAVEAT}
 
 
-def sphericity(C: SimplicialComplex, r: Optional[int] = None,
-               profile: Optional[HomologyProfile] = None) -> SphericityVerdict:
-    """Check (weak) r-sphericity of a complex; with r=None the unique
-    candidate degree is inferred from the homology itself."""
-    if profile is None:
-        profile = reduced_homology(C)
+def sphericity(profile: HomologyProfile, r: int) -> SphericityVerdict:
+    """Check (weak) r-sphericity of a complex from its reduced homology."""
     nz = profile.nonzero_degrees()
-    if r is None:
-        r = nz[0] if len(nz) == 1 else (C.dim if not nz else None)
-    weak = None
-    witness = None
-    if r is not None and all(q == r for q in nz):
-        weak = r
-    elif nz:
+    if any(q != r for q in nz):
         witness = f"nonzero homology in degrees {list(nz)}"
-    spherical = weak is not None and (not nz or not profile.torsion_of(r))
-    if weak is not None and nz and profile.torsion_of(r):
-        witness = f"torsion {list(profile.torsion_of(r))} in degree {r}"
-    return SphericityVerdict(weak, spherical, False, witness, profile)
+        return SphericityVerdict(None, False, False, witness, profile)
+    torsion = profile.torsion_of(r)
+    witness = f"torsion {list(torsion)} in degree {r}" if torsion else None
+    return SphericityVerdict(r, not torsion, False, witness, profile)
 
 
 def is_cohen_macaulay(C: SimplicialComplex) -> SphericityVerdict:
@@ -407,49 +401,65 @@ def is_cohen_macaulay(C: SimplicialComplex) -> SphericityVerdict:
     the link of every r-simplex (r >= 0) is (d-r-1)-spherical, d = dim.
     The empty link is accepted exactly when d-r-1 = -1 (its homology is
     concentrated in degree -1)."""
-    d = C.dim
-    top = sphericity(C, d)
+    return _cm_verdict(reduced_homology(C), C.dim, filter(None, (
+        _link_failure(C, s)
+        for k in range(C.dim + 1) for s in C.simplices_of_dim(k))))
+
+
+class TorusComplex:
+    """The torus complex of a ground group G at a prime p: the poset
+    A = A_p(G) of its nontrivial elementary abelian p-subgroups, the
+    order complex Delta(A), its reduced homology and its Cohen-Macaulay
+    verdict.  Each is computed once, when first read."""
+
+    def __init__(self, G: Group, p: int):
+        self.group = G
+        self.prime = p
+
+    @cached_property
+    def poset(self) -> SubgroupPoset:
+        return quillen_poset(self.group, self.prime)
+
+    @cached_property
+    def complex(self) -> SimplicialComplex:
+        return order_complex(self.poset)
+
+    @cached_property
+    def profile(self) -> HomologyProfile:
+        return reduced_homology(self.complex)
+
+    @cached_property
+    def cohen_macaulay(self) -> SphericityVerdict:
+        """`is_cohen_macaulay` of the complex: the top check, then one
+        upper interval per conjugacy class of tori (see the module
+        docstring).  The verdict, witness included, is the link sweep's:
+        that sweep fails first at the least vertex of a failing class,
+        since a chain whose link fails has a top vertex whose link fails,
+        so only that one link is built, for the witness."""
+        A, C = self.poset, self.complex
+
+        def fails(x):  # Delta(A>x) is not (d - rank of x)-spherical
+            above = order_complex(A.induced(sorted(A.above[x])))
+            r = _p_rank(A.nodes[x].order, self.prime)
+            return not sphericity(reduced_homology(above),
+                                  C.dim - r).homology_spherical
+
+        return _cm_verdict(self.profile, C.dim, (
+            _link_failure(C, {x}) for x, *_ in conjugacy_classes(A)
+            if fails(x)))
+
+
+def _cm_verdict(profile: HomologyProfile, d: int,
+                failures: Iterator[str]) -> SphericityVerdict:
+    """The verdict on a complex of dimension d with reduced homology
+    ``profile``: not d-spherical, else the first of the lazy ``failures``
+    witnesses, else Cohen-Macaulay."""
+    top = sphericity(profile, d)
     if not top.homology_spherical:
-        return _not_spherical(top)
-    for k in range(0, d + 1):
-        for s in C.simplices_of_dim(k):
-            wit = _link_failure(C, s)
-            if wit is not None:
-                return SphericityVerdict(top.weakly_spherical_in, True,
-                                         False, wit, top.profile)
-    return SphericityVerdict(top.weakly_spherical_in, True, True, None,
-                             top.profile)
-
-
-def torus_complex_cohen_macaulay(
-        A: SubgroupPoset, C: SimplicialComplex,
-        profile: Optional[HomologyProfile] = None) -> SphericityVerdict:
-    """`is_cohen_macaulay` for C = order_complex(A), A = A_p(G): the top
-    check, then one upper interval per conjugacy class of tori (see the
-    module docstring).  ``profile``, if given, is C's homology.  The
-    verdict, witness included, is the link sweep's: that sweep fails
-    first at the least vertex of a failing class, since a chain whose
-    link fails has a top vertex whose link fails, so only that one link
-    is built, for the witness."""
-    d = C.dim
-    top = sphericity(C, d, profile)
-    if not top.homology_spherical:
-        return _not_spherical(top)
-    for cls in conjugacy_classes(A):
-        x = cls[0]
-        # the least node of A_p(G) has order p
-        r = _p_rank(A.nodes[x].order, A.nodes[0].order)
-        above = order_complex(A.induced(sorted(A.above[x])))
-        if not sphericity(above, d - r).homology_spherical:
-            return SphericityVerdict(top.weakly_spherical_in, True, False,
-                                     _link_failure(C, {x}), top.profile)
-    return SphericityVerdict(top.weakly_spherical_in, True, True, None,
-                             top.profile)
-
-
-def _not_spherical(top: SphericityVerdict) -> SphericityVerdict:
-    return SphericityVerdict(top.weakly_spherical_in, False, False,
-                             f"complex itself: {top.witness}", top.profile)
+        return SphericityVerdict(top.weakly_spherical_in, False, False,
+                                 f"complex itself: {top.witness}", profile)
+    witness = next(failures, None)
+    return SphericityVerdict(d, True, witness is None, witness, profile)
 
 
 def _link_failure(C: SimplicialComplex, s) -> Optional[str]:
@@ -457,8 +467,8 @@ def _link_failure(C: SimplicialComplex, s) -> Optional[str]:
     (dim C - dim s - 1)-spherical, else None."""
     k = len(s) - 1
     r = C.dim - k - 1
-    v = sphericity(link(C, s), r)
+    v = sphericity(reduced_homology(link(C, s)), r)
     if v.homology_spherical:
         return None
-    return (f"link of {sorted(s)} (dim {k}): {v.witness or 'not '}"
-            f"{r}-spherical; {v.profile.describe()}")
+    return (f"link of {sorted(s)} (dim {k}): not {r}-spherical "
+            f"({v.witness}); {v.profile.describe()}")

@@ -20,9 +20,9 @@ from .group import Group, Subgroup
 from .homology import (
     HomologyProfile,
     SphericityVerdict,
+    TorusComplex,
     reduced_homology,
     sphericity,
-    torus_complex_cohen_macaulay,
 )
 from .errors import (
     DecompositionNotFound,
@@ -187,7 +187,7 @@ def classify_odd_p_group(P, p: int) -> StructureReport:
     explicit subgroup search."""
     P = gp._as_subgroup(P)
     G = P.parent
-    if p == 2 or any(p % d == 0 for d in range(2, p)):
+    if p == 2 or not gp._is_prime(p):
         raise HypothesisViolated("p odd prime", f"p={p}")
     if not gp.is_p_group(P, p):
         raise HypothesisViolated("P a p-group", f"order {P.order}")
@@ -386,7 +386,7 @@ def upper_interval_check(P, p: int, X) -> TheoremVerdict:
         r = rk2 - 2
         I2 = ps.upper_interval(ps.quillen_poset(P2, p), Z)
         prof2 = reduced_homology(ps.order_complex(I2))
-        v = sphericity(None, r, profile=prof)
+        v = sphericity(prof, r)
         iso_ok = len(I2) == len(I) and prof2 == prof
         agrees = v.homology_spherical and iso_ok
         computed["reduction_nodes"] = len(I2)
@@ -417,7 +417,7 @@ def upper_interval_check(P, p: int, X) -> TheoremVerdict:
             AbD = ps.ab_poset(D)
             I2 = ps.upper_interval(AbD, X)
             prof2 = reduced_homology(ps.order_complex(I2))
-            v = sphericity(None, r, profile=prof)
+            v = sphericity(prof, r)
             iso_ok = len(I2) == len(I) and prof2 == prof
             agrees = v.homology_spherical and iso_ok
             computed["reduction_nodes"] = len(I2)
@@ -436,14 +436,14 @@ def upper_interval_check(P, p: int, X) -> TheoremVerdict:
         rkO = gp.rank(O, p)
         if p > 2 or Op.order == 2:
             r = rkO - rkX - 1
-            v = sphericity(None, r, profile=prof)
+            v = sphericity(prof, r)
             return TheoremVerdict(
                 "interval-omega-center", f"{r}-spherical",
                 computed, v.homology_spherical, profile=prof)
         rep = decompose_2group(O)
         if rep.T_type in ("trivial", "dihedral"):
             r = rkO - rkX - 1
-            v = sphericity(None, r, profile=prof)
+            v = sphericity(prof, r)
             return TheoremVerdict(
                 "interval-omega-center", f"{r}-spherical (T {rep.T_type})",
                 computed, v.homology_spherical, profile=prof,
@@ -464,21 +464,22 @@ def upper_interval_check(P, p: int, X) -> TheoremVerdict:
 
 # -- wedge formula over a normal p'-subgroup ----------------------------
 
-def verify_pulkus_welker(G: Group, p: int) -> TheoremVerdict:
-    """Compare the homology of the full torus complex of G with that of
+def verify_pulkus_welker(T: TorusComplex) -> TheoremVerdict:
+    """Compare the homology of the torus complex T of G with that of
     the wedge of the quotient complex and the joins over its tori, for
     N = O_{p'}(G) nontrivial solvable.  No quotient group is built: N is
     a p'-group, so every torus of G/N is AN/N for a torus A of G, and
     A -> NA maps A_p(G) onto the preimages of the tori of G/N, keeping
     inclusion; the quotient complex is taken on those preimages.  The
     tori of NA are the nodes of A inside NA, so A is walked once."""
+    G, p = T.group, T.prime
     N = gp.o_p_prime(G, p)
     if N.order == 1:
         raise PreconditionFailed("O_{p'}(G) = 1")
     if not gp.is_solvable(N):
         raise PreconditionFailed("O_{p'}(G) not solvable")
-    A = ps.quillen_poset(G, p)
-    lhs = reduced_homology(ps.order_complex(A))
+    A = T.poset
+    lhs = T.profile
 
     PQ = ps.SubgroupPoset(G, [
         Subgroup(G, gp._product_set(G, N.members, X.members),
@@ -571,12 +572,14 @@ def p_length_bound_check(G: Group, p: int) -> TheoremVerdict:
 
 # -- main-theorem orchestrator ------------------------------------------
 
-def main_theorem_check(G: Group, p: int) -> TheoremVerdict:
-    """Full pipeline for a solvable group with p dividing its order and
-    cyclic P' for a Sylow p-subgroup P: decompose Omega1(P); when p is
-    odd or the T factor is trivial/dihedral, predict the torus complex
-    Cohen-Macaulay of dimension rk(P) - 1; when T is semidihedral,
-    predict at least two distinct nonzero reduced homology degrees."""
+def main_theorem_check(T: TorusComplex) -> TheoremVerdict:
+    """Full pipeline on the torus complex of a solvable group G at a
+    prime p dividing |G|, with cyclic P' for a Sylow p-subgroup P:
+    decompose Omega1(P); when p is odd or the decomposition's T factor
+    is trivial/dihedral, predict the complex Cohen-Macaulay of dimension
+    rk(P) - 1; when that factor is semidihedral, predict at least two
+    distinct nonzero reduced homology degrees."""
+    G, p = T.group, T.prime
     if not gp.is_solvable(G):
         raise HypothesisViolated("G solvable")
     if G.order % p != 0:
@@ -592,19 +595,16 @@ def main_theorem_check(G: Group, p: int) -> TheoremVerdict:
         rep = classify_odd_p_group(O, p)
         semidihedral = False
 
-    A = ps.quillen_poset(G, p)
-    C = ps.order_complex(A)
-    # the CM check computes the top homology itself; reuse its profile
-    cm = None if semidihedral else torus_complex_cohen_macaulay(A, C)
-    prof = reduced_homology(C) if cm is None else cm.profile
+    cm = None if semidihedral else T.cohen_macaulay
+    prof = T.profile
     rkP = gp.rank(P, p)
-    computed = {"sylow_order": P.order, "rank": rkP, "dim": C.dim,
+    computed = {"sylow_order": P.order, "rank": rkP, "dim": T.complex.dim,
                 "profile": prof.to_json(), "T_type": rep.T_type,
                 "case": rep.case}
 
     if not semidihedral:
         computed["cohen_macaulay"] = cm.cohen_macaulay
-        agrees = cm.cohen_macaulay and C.dim == rkP - 1
+        agrees = cm.cohen_macaulay and T.complex.dim == rkP - 1
         return TheoremVerdict(
             "main-cm", f"Cohen-Macaulay of dimension {rkP - 1}",
             computed, agrees,

@@ -14,7 +14,7 @@ from quillen import constructions as cs
 from quillen import group as gp
 from quillen import poset as ps
 from quillen import theorems as th
-from quillen.homology import is_cohen_macaulay, reduced_homology
+from quillen.homology import TorusComplex, is_cohen_macaulay, reduced_homology
 
 
 @contextmanager
@@ -136,7 +136,7 @@ def test_criterion_5_main_theorem_odd_p():
         assert P27.order == 27 and gp.is_extraspecial(P27, 3)
         for name, p in cases:
             G = G_of(name)
-            v = th.main_theorem_check(G, p)
+            v = th.main_theorem_check(TorusComplex(G, p))
             assert v.claim == "main-cm"
             assert v.agrees is True, (name, p, v.notes)
             assert v.computed["dim"] == \
@@ -150,7 +150,7 @@ def test_criterion_6_main_theorem_dihedral_branch():
                       "D16xC2-based extension are Cohen-Macaulay", 300):
         for name in ("S4", "C3:(D16xC2)"):
             G = G_of(name)
-            v = th.main_theorem_check(G, 2)
+            v = th.main_theorem_check(TorusComplex(G, 2))
             assert v.agrees is True, (name, v.notes)
             assert v.cm.cohen_macaulay
         # the D16xC2 extension really exercises the dihedral T case
@@ -175,7 +175,7 @@ def test_criterion_7_main_theorem_semidihedral_branch():
         # nontrivial normal 2-subgroup realizes the homology claim
         G = G_of("C3^4:(SD16oD8)")
         assert gp.o_p(G, 2).order == 1
-        v = th.main_theorem_check(G, 2)
+        v = th.main_theorem_check(TorusComplex(G, 2))
         assert v.claim == "main-semidihedral"
         assert v.structure.T_type == "semidihedral"
         assert v.agrees is True, v.notes
@@ -195,7 +195,7 @@ def test_criterion_8_wedge_formula():
         for name, p in instances:
             G = G_of(name)
             assert gp.o_p_prime(G, p).order > 1
-            v = th.verify_pulkus_welker(G, p)
+            v = th.verify_pulkus_welker(TorusComplex(G, p))
             assert v.agrees is True, (name, p)
             assert v.computed["lhs"] == v.computed["rhs"]
 

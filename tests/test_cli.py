@@ -5,10 +5,12 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
-from quillen import cli
+from quillen import cli, homology, poset, theorems
+from quillen import constructions as cs
 
 
 def run_cli(args, out_path):
@@ -174,6 +176,17 @@ def test_exit_code_red_alert(tmp_path):
     assert data["failures"][0]["check"] == "pw"
 
 
+@pytest.mark.parametrize("prime", ["100000007", "2305843009213693951"])
+def test_large_prime_fails_fast(prime, capsys):
+    """A prime above the largest group order the tool builds is refused
+    before any primality test or group build."""
+    t0 = time.perf_counter()
+    code = cli.main(["decompose", "--name", "S3", "--prime", prime])
+    assert time.perf_counter() - t0 < 1
+    assert code == 1
+    assert "InvalidSpec" in capsys.readouterr().err
+
+
 def test_element_cap_env_rejected_if_not_int(tmp_path, monkeypatch):
     monkeypatch.setenv(cli.CAP_ENV_VAR, "abc")
     out = tmp_path / "x"
@@ -193,6 +206,38 @@ def test_suite_small_subset(tmp_path):
         for chk, res in row["results"].items():
             assert res["agrees"] in (True, None), (row["name"], chk)
         assert set(row["timings"]) == {"build"} | set(row["results"])
+
+
+def test_suite_row_builds_and_reduces_the_torus_complex_once(monkeypatch):
+    """The checks of one suite row read one torus complex: with quillen,
+    cm, pw and main, A_2(G) is built once and its complex reduced once."""
+    G = cs.catalog_group("C3:(D16xC2)")
+    posets, reduced = [], []
+    build, reduce = poset.quillen_poset, homology.reduced_homology
+
+    def counted_poset(S, p):
+        A = build(S, p)
+        if S is G:
+            posets.append(A)
+        return A
+
+    def counted_reduce(C):
+        reduced.append(C)
+        return reduce(C)
+
+    for mod in (poset, homology, theorems, cli):
+        for name, fn in (("quillen_poset", counted_poset),
+                         ("reduced_homology", counted_reduce)):
+            if hasattr(mod, name):
+                monkeypatch.setattr(mod, name, fn)
+    row = cli._run_instance({"name": "C3:(D16xC2)", "prime": 2,
+                             "checks": ["quillen", "cm", "pw", "main"]},
+                            None)
+    assert [r["agrees"] for r in row["results"].values()] == \
+        [None, True, True, True]
+    assert len(posets) == 1
+    torus = poset.order_complex(posets[0])
+    assert sum(C == torus for C in reduced) == 1
 
 
 def test_suite_unknown_only_name(tmp_path):
@@ -268,6 +313,8 @@ PINNED_COMMANDS = [
     ["plength", "--name", "C3C3:SL(2,3)", "--prime", "3"],
     ["main-check", "--name", "C3:(D16xC2)", "--prime", "2"],
     ["main-check", "--name", "C7:C3", "--prime", "3"],
+    ["main-check", "--name", "C3^4:(SD16oD8)", "--prime", "2"],
+    ["quillen", "--name", "C3^4:(SD16oC4)", "--prime", "2"],
 ]
 
 

@@ -11,7 +11,6 @@ from quillen.errors import (
     ActionNotHomomorphism,
     InvalidSpec,
     NotCentral,
-    PairingNotIsomorphism,
     UnknownName,
 )
 

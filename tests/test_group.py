@@ -116,6 +116,12 @@ def test_small_witness_regenerates():
 
 # -- predicates ---------------------------------------------------------
 
+def test_is_prime_matches_sympy():
+    from sympy import primerange
+    assert [n for n in range(-2, 5000) if gp._is_prime(n)] == \
+        list(primerange(0, 5000))
+
+
 def test_abelian_cyclic_predicates():
     assert gp.is_abelian(G_of("C3xC3"))
     assert gp.is_cyclic(G_of("C4"))

@@ -14,6 +14,7 @@ from quillen import poset as ps
 from quillen.group import group_from_generators
 from quillen.homology import (
     HomologyProfile,
+    TorusComplex,
     _eliminate,
     _invariant_factors,
     _to_sparse,
@@ -23,7 +24,6 @@ from quillen.homology import (
     reduced_homology,
     smith_normal_form,
     sphericity,
-    torus_complex_cohen_macaulay,
 )
 
 import oracles
@@ -257,14 +257,14 @@ def test_torus_complex_of_s3_to_the_fourth():
     """A_2(S3^4) is the join of four copies of A_2(S3), three points
     each, so H~_3 = Z^((3-1)^4) and all else vanishes."""
     S3 = cs.catalog_group("S3")
-    A = ps.quillen_poset(cs.direct_product([S3] * 4), 2)
-    C = ps.order_complex(A)
+    T = TorusComplex(cs.direct_product([S3] * 4), 2)
+    C = T.complex
     assert [C.n_simplices(k) for k in range(4)] == [2874, 23868, 46494,
                                                     25515]
-    prof = reduced_homology(C)
+    prof = T.profile
     assert prof.nonzero_degrees() == (3,)
     assert prof.betti_of(3) == 16 and prof.torsion_of(3) == ()
-    cm = torus_complex_cohen_macaulay(A, C, prof)
+    cm = T.cohen_macaulay
     assert cm.cohen_macaulay and cm.profile is prof
 
 
@@ -295,20 +295,23 @@ def test_profile_describe():
 # -- sphericity and Cohen-Macaulay --------------------------------------
 
 def test_sphericity_verdicts():
-    v = sphericity(simplex_boundary(2), 1)
+    circle = reduced_homology(simplex_boundary(2))
+    v = sphericity(circle, 1)
     assert v.weakly_spherical_in == 1 and v.homology_spherical
-    v = sphericity(simplex_boundary(2), 0)
+    assert v.witness is None and v.profile is circle
+    v = sphericity(circle, 0)
     assert not v.homology_spherical
-    rp2 = ps.SimplicialComplex(RP2_FACETS, close=True)
+    assert v.witness == "nonzero homology in degrees [1]"
+    rp2 = reduced_homology(ps.SimplicialComplex(RP2_FACETS, close=True))
     v = sphericity(rp2, 1)
     assert v.weakly_spherical_in == 1  # weakly: concentrated in degree 1
     assert not v.homology_spherical    # ... but with torsion
-    assert "torsion" in v.witness
+    assert v.witness == "torsion [2] in degree 1"
 
 
 def test_sphericity_of_acyclic():
     C = ps.SimplicialComplex([range(3)], close=True)
-    v = sphericity(C, 5)
+    v = sphericity(reduced_homology(C), 5)
     assert v.homology_spherical  # acyclic counts as r-spherical for any r
 
 
@@ -344,10 +347,9 @@ def _perm(degree, cycles):
 
 
 def _assert_interval_check_matches_sweep(G, p):
-    A = ps.quillen_poset(G, p)
-    C = ps.order_complex(A)
-    v = torus_complex_cohen_macaulay(A, C)
-    assert v.to_json() == is_cohen_macaulay(C).to_json()
+    T = TorusComplex(G, p)
+    v = T.cohen_macaulay
+    assert v.to_json() == is_cohen_macaulay(T.complex).to_json()
     return v
 
 
@@ -388,11 +390,11 @@ def test_interval_cm_on_wreath_products():
         _perm(8, [[1, 2]]), _perm(8, [[1, 3, 5, 7], [2, 4, 6, 8]])])
     v = _assert_interval_check_matches_sweep(c2wrc4, 2)
     assert v.homology_spherical and not v.cohen_macaulay
-    assert v.witness == ("link of [44] (dim 0): nonzero homology in "
-                         "degrees [1]2-spherical; H~_1=Z^2")
+    assert v.witness == ("link of [44] (dim 0): not 2-spherical (nonzero "
+                         "homology in degrees [1]); H~_1=Z^2")
     c3wrc3 = group_from_generators(9, [
         _perm(9, [[1, 2, 3]]), _perm(9, [[1, 4, 7], [2, 5, 8], [3, 6, 9]])])
     v = _assert_interval_check_matches_sweep(c3wrc3, 3)
     assert v.homology_spherical and not v.cohen_macaulay
-    assert v.witness == ("link of [8] (dim 0): nonzero homology in "
-                         "degrees [0]1-spherical; H~_0=Z^3")
+    assert v.witness == ("link of [8] (dim 0): not 1-spherical (nonzero "
+                         "homology in degrees [0]); H~_0=Z^3")

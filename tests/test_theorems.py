@@ -12,7 +12,7 @@ from quillen import poset as ps
 from quillen import theorems as th
 from quillen.errors import (DecompositionNotFound, HypothesisViolated,
                             PreconditionFailed)
-from quillen.homology import reduced_homology
+from quillen.homology import TorusComplex
 
 import oracles
 
@@ -308,7 +308,7 @@ PW_ROWS = [("S3", 2), ("S4", 3), ("C7:C3", 3), ("C5:V4", 2),
 def test_wedge_formula(name, p):
     G = G_of(name)
     assert gp.o_p_prime(G, p).order > 1
-    v = th.verify_pulkus_welker(G, p)
+    v = th.verify_pulkus_welker(TorusComplex(G, p))
     assert v.agrees is True
     assert v.computed["lhs"] == v.computed["rhs"]
 
@@ -321,7 +321,7 @@ def test_wedge_formula(name, p):
 def test_wedge_formula_matches_quotient_group_right_hand_side(names, p):
     G = cs.direct_product([G_of(n) for n in names]) if len(names) > 1 \
         else G_of(names[0])
-    v = th.verify_pulkus_welker(G, p)
+    v = th.verify_pulkus_welker(TorusComplex(G, p))
     assert v.to_json() == \
         oracles.verify_pulkus_welker_by_quotient(G, p).to_json()
 
@@ -337,20 +337,20 @@ def test_wedge_formula_walks_the_tori_once(monkeypatch):
         return walk(S, p)
 
     monkeypatch.setattr(gp, "elementary_abelian_subgroups", counted)
-    v = th.verify_pulkus_welker(G_of("C3:(D16xC2)"), 2)
+    v = th.verify_pulkus_welker(TorusComplex(G_of("C3:(D16xC2)"), 2))
     assert v.agrees is True and v.computed["summands"] > 1
     assert len(calls) == 1
 
 
 def test_wedge_formula_s3_values():
-    v = th.verify_pulkus_welker(G_of("S3"), 2)
+    v = th.verify_pulkus_welker(TorusComplex(G_of("S3"), 2))
     assert v.profile.betti_of(0) == 2
     assert v.computed["N_order"] == 3
 
 
 def test_wedge_formula_precondition():
     with pytest.raises(PreconditionFailed):
-        th.verify_pulkus_welker(G_of("S4"), 2)  # O_{2'}(S4) = 1
+        th.verify_pulkus_welker(TorusComplex(G_of("S4"), 2))  # O_{2'}(S4) = 1
 
 
 # -- p-length -----------------------------------------------------------
@@ -389,7 +389,7 @@ def test_plength_p_not_dividing():
     ("C7:C3", 3), ("C3C3:SL(2,3)", 3), ("C3:(D16xC2)", 2),
 ])
 def test_main_theorem_cm_instances(name, p):
-    v = th.main_theorem_check(G_of(name), p)
+    v = th.main_theorem_check(TorusComplex(G_of(name), p))
     assert v.claim == "main-cm"
     assert v.agrees is True, (name, p, v.notes)
     assert v.cm.cohen_macaulay
@@ -398,7 +398,7 @@ def test_main_theorem_cm_instances(name, p):
 
 def test_main_theorem_semidihedral_2group_not_applicable():
     # for the bare 2-group the complex is acyclic; no verdict is issued
-    v = th.main_theorem_check(G_of("SD16oC4"), 2)
+    v = th.main_theorem_check(TorusComplex(G_of("SD16oC4"), 2))
     assert v.claim == "main-semidihedral"
     assert v.agrees is None
     assert v.profile.is_trivial()
@@ -406,15 +406,15 @@ def test_main_theorem_semidihedral_2group_not_applicable():
 
 def test_main_theorem_hypotheses():
     with pytest.raises(HypothesisViolated):
-        th.main_theorem_check(G_of("S4"), 5)
+        th.main_theorem_check(TorusComplex(G_of("S4"), 5))
     A5 = gp.group_from_generators(5, [[1, 2, 3, 4, 0], [1, 0, 3, 2, 4]])
     with pytest.raises(HypothesisViolated):
-        th.main_theorem_check(A5, 2)
+        th.main_theorem_check(TorusComplex(A5, 2))
 
 
 def test_verdict_json_round_trip():
     import json
-    v = th.main_theorem_check(G_of("S4"), 2)
+    v = th.main_theorem_check(TorusComplex(G_of("S4"), 2))
     data = json.loads(json.dumps(v.to_json()))
     assert data["agrees"] is True
     assert data["structure"]["case"] == "two_group_TD"
