@@ -2,13 +2,19 @@
 cyclic, dihedral, semidihedral, quaternion, elementary abelian,
 extraspecial, direct/central/semidirect products, and a named catalog.
 
-Builders prefer a small natural faithful action where one is obvious and
-fall back to the regular representation (the Group records which was
-used in its ``provenance`` field).
+Every builder writes permutation generators and enumerates the group
+they generate.  It prefers a small natural faithful action where one is
+obvious; otherwise (quaternion, Heisenberg, semidirect product) it writes
+the regular representation, the left translations x -> g*x of the
+generators on the positions of the elements, in closed form (the Group
+records which in its ``provenance`` field).  A semidirect action is
+checked by the order of the group it generates, and an automorphism by
+its values on generators.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -144,20 +150,12 @@ def quaternion(order: int, cap: int = DEFAULT_ELEMENT_CAP) -> Group:
     n = order.bit_length() - 1
     if order != 2 ** n or n < 3:
         raise InvalidSpec("quaternion order must be 2^n with n >= 3")
+    regular = _regular_representation(order, cap, f"Q{order}")
     m = order // 2
-    # presentation x^m = 1, z^2 = x^(m/2), x^z = x^-1; elements (i, e)
-    def mul(a, b):
-        i, e = a
-        j, f = b
-        if e == 0:
-            return ((i + j) % m, f)
-        k = (i - j) % m
-        if f == 0:
-            return (k, 1)
-        return ((k + m // 2) % m, 0)
-    elems = [(i, e) for e in (0, 1) for i in range(m)]
-    return _from_mul(elems, mul, gen_elems=[(1, 0), (0, 1)], cap=cap,
-                     label=f"Q{order}")
+    # presentation x^m = 1, z^2 = x^(m/2), x^z = x^-1; x^i z^e at e*m + i
+    x = [e * m + (i + 1) % m for e in (0, 1) for i in range(m)]
+    z = [m + (-i) % m for i in range(m)] + [(m // 2 - i) % m for i in range(m)]
+    return regular([x, z])
 
 
 def extraspecial(p: int, n: int, variant: str,
@@ -186,7 +184,6 @@ def extraspecial(p: int, n: int, variant: str,
         G = _modular_p3(p, cap)
     else:
         raise InvalidSpec("odd-p extraspecial variant must be exp_p/exp_p2")
-    base = G
     for _ in range(n - 1):
         G = central_product_by_order(G, _heisenberg(p, cap), p, cap=cap)
     G.label = "ES(%d,%d,%s)" % (p, n, variant)
@@ -194,14 +191,14 @@ def extraspecial(p: int, n: int, variant: str,
 
 
 def _heisenberg(p: int, cap: int) -> Group:
-    # p^(1+2) of exponent p (p odd): triples (a,b,c) over F_p
-    def mul(x, y):
-        a, b, c = x
-        d, e, f = y
-        return ((a + d) % p, (b + e) % p, (c + f + a * e) % p)
-    elems = [(a, b, c) for a in range(p) for b in range(p) for c in range(p)]
-    return _from_mul(elems, mul, gen_elems=[(1, 0, 0), (0, 1, 0)], cap=cap,
-                     label=f"Heis({p})")
+    # p^(1+2) of exponent p (p odd): triples (a,b,c) over F_p at
+    # (a*p + b)*p + c, with (a,b,c)(d,e,f) = (a+d, b+e, c+f+a*e)
+    regular = _regular_representation(p ** 3, cap, f"Heis({p})")
+    F = range(p)
+    x = [((a + 1) % p * p + b) * p + (c + b) % p
+         for a in F for b in F for c in F]
+    y = [(a * p + (b + 1) % p) * p + c for a in F for b in F for c in F]
+    return regular([x, y])
 
 
 def _modular_p3(p: int, cap: int) -> Group:
@@ -214,18 +211,17 @@ def _modular_p3(p: int, cap: int) -> Group:
                                     provenance="affine action on Z/p^2")
 
 
-def _from_mul(elems, mul, gen_elems, cap, label=""):
-    """The regular representation of an abstract group: the left
-    translations x -> g*x of the generators, as permutations of the
-    positions in ``elems``."""
+def _regular_representation(order: int, cap: int, label: str):
+    """Check ``order`` against the cap, before any permutation is
+    written, and return the enumerator of the regular representation: it
+    takes the left translations x -> g*x of the generators, as
+    permutations of the ``order`` element positions, and raises
+    GroupTooLarge if they generate more than ``order`` elements."""
     cap = min(cap, gp.TABLE_ORDER_CAP)
-    if len(elems) > cap:  # before any product is listed
-        raise gp.GroupTooLarge(f"group order {len(elems)} exceeds cap {cap}")
-    index = {e: i for i, e in enumerate(elems)}
-    gens = [tuple(index[mul(g, e)] for e in elems) for g in gen_elems]
-    return gp.group_from_generators(len(elems), gens, cap=cap,
-                                    provenance="regular representation",
-                                    label=label)
+    if order > cap:
+        raise gp.GroupTooLarge(f"group order {order} exceeds cap {cap}")
+    return functools.partial(gp.group_from_generators, order, cap=order,
+                             provenance="regular representation", label=label)
 
 
 # -- product constructions ----------------------------------------------
@@ -263,15 +259,19 @@ def central_product(A: Group, B: Group, pairs: Sequence[tuple],
     ``pairs`` lists (a_id, b_id) generator pairs; the map a_i -> b_i must
     extend to an isomorphism of the generated central subgroups.
     """
-    za = [a for a, _ in pairs]
-    zb = [b for _, b in pairs]
-    for a in za:
-        if any(A.mul(a, g) != A.mul(g, a) for g in range(A.order)):
-            raise NotCentral(f"element {a} is not central in A")
-    for b in zb:
-        if any(B.mul(b, g) != B.mul(g, b) for g in range(B.order)):
-            raise NotCentral(f"element {b} is not central in B")
-    phi = _extend_pairing(A, B, pairs)
+    for side, G, ids in (("A", A, [a for a, _ in pairs]),
+                         ("B", B, [b for _, b in pairs])):
+        Z = gp.center(G)
+        for x in ids:
+            if x not in Z:
+                raise NotCentral(f"element {x} is not central in {side}")
+    phi = _extend_on_generators(A, B, pairs, PairingNotIsomorphism,
+                                "pairing does not extend to a homomorphism")
+    if len(set(phi.values())) != len(phi):
+        raise PairingNotIsomorphism("pairing not injective")
+    # surjectivity onto the subgroup the b's generate
+    if len(B.closure(b for _, b in pairs)) != len(phi):
+        raise PairingNotIsomorphism("pairing not surjective onto target")
     P = direct_product([A, B], cap=cap)
     anti = [P.index[A.elements[a] + tuple(A.degree + x
                                           for x in B.elements[B.inv(b)])]
@@ -283,29 +283,24 @@ def central_product(A: Group, B: Group, pairs: Sequence[tuple],
                              label=f"{A.label or '?'}o{B.label or '?'}")
 
 
-def _extend_pairing(A: Group, B: Group, pairs):
-    """Extend generator pairs multiplicatively to a full isomorphism of
-    the generated (abelian) subgroups; raise if inconsistent."""
+def _extend_on_generators(A: Group, B: Group, pairs, error, message) -> dict:
+    """Extend the map a -> b of the (a, b) ``pairs`` breadth first to
+    the subgroup of A that the a's generate, by x*a -> phi(x)*b.  Raise
+    ``error(message)`` if an element gets two images, that is, if the
+    map does not extend to a homomorphism."""
     phi = {A.identity: B.identity}
     frontier = [A.identity]
     while frontier:
         new = []
         for x in frontier:
-            for (a, b) in pairs:
+            for a, b in pairs:
                 xa, xb = A.mul(x, a), B.mul(phi[x], b)
-                if xa in phi:
-                    if phi[xa] != xb:
-                        raise PairingNotIsomorphism(
-                            "pairing does not extend to a homomorphism")
-                else:
+                if xa not in phi:
                     phi[xa] = xb
                     new.append(xa)
+                elif phi[xa] != xb:
+                    raise error(message)
         frontier = new
-    if len(set(phi.values())) != len(phi):
-        raise PairingNotIsomorphism("pairing not injective")
-    # surjectivity onto <zb>
-    if len(B.closure(b for _, b in pairs)) != len(phi):
-        raise PairingNotIsomorphism("pairing not surjective onto target")
     return phi
 
 
@@ -328,77 +323,55 @@ def _canonical_central_of_order(G: Group, k: int) -> int:
 
 def semidirect_product(N: Group, H: Group, action: dict,
                        cap: int = DEFAULT_ELEMENT_CAP) -> Group:
-    """Semidirect product N x| H.
+    """Semidirect product N x| H, the regular representation on the
+    positions n*|H| + h of the pairs (n, h).
 
     ``action`` maps each generator id of H to an automorphism of N given
-    as a full image tuple on N's element ids.  The generator images must
-    extend consistently to a homomorphism H -> Aut(N); this is verified
-    exhaustively over H's Cayley graph.
+    as a full image tuple on N's element ids.  A generator g of N acts
+    as (n, h) -> (g*n, h), and a generator g of H as
+    (n, h) -> (action[g][n], g*h).  Each image is checked to be an
+    automorphism, so these generate T_N x| K, with T_N the translations
+    of N and K = <(action[g], g)> <= Aut(N) x H mapping onto H: that
+    group has exactly |N||H| elements if and only if the generator
+    images extend to a homomorphism H -> Aut(N).
     """
-    auts = {H.identity: tuple(range(N.order))}
+    k = H.order
+    regular = _regular_representation(
+        N.order * k, cap, f"{N.label or '?'}:{H.label or '?'}")
     for h, img in action.items():
         if h not in H.generators:
             raise ActionNotHomomorphism(f"{h} is not a generator id of H")
         _check_automorphism(N, tuple(img))
-    frontier = [H.identity]
-    while frontier:
-        new = []
-        for h in frontier:
-            for g in H.generators:
-                hg = H.mul(h, g)
-                ag = tuple(action[g])
-                ah = auts[h]
-                composed = tuple(ah[x] for x in ag)  # a_(hg) = a_h o a_g
-                if hg in auts:
-                    if auts[hg] != composed:
-                        raise ActionNotHomomorphism(
-                            "generator images are inconsistent on relations")
-                else:
-                    auts[hg] = composed
-                    new.append(hg)
-        frontier = new
-    if N.order * H.order > cap:
-        raise gp.GroupTooLarge("semidirect product order exceeds cap")
 
-    def mul(x, y):
-        n1, h1 = x
-        n2, h2 = y
-        return (N.mul(n1, auts[h1][n2]), H.mul(h1, h2))
-    elems = [(n, h) for n in range(N.order) for h in range(H.order)]
-    gen_elems = [(n, H.identity) for n in N.generators] + \
-                [(N.identity, h) for h in H.generators]
-    G = _from_mul(elems, mul, gen_elems, cap,
-                  label=f"{N.label or '?'}:{H.label or '?'}")
-    return G
+    def translation(on_n, on_h):
+        return [a * k + b for a in on_n for b in on_h]
+    gens = [translation(N.table[g].tolist(), range(k)) for g in N.generators]
+    gens += [translation(action[g], H.table[g].tolist()) for g in H.generators]
+    try:
+        return regular(gens)
+    except gp.GroupTooLarge:
+        raise ActionNotHomomorphism(
+            "generator images are inconsistent on relations") from None
 
 
 def _check_automorphism(N: Group, img: tuple):
+    """A bijection f of N with f(g*x) = f(g)*f(x) for every generator g
+    and every x is an automorphism: by induction on word length, and
+    f(1) = 1 by cancelling f(g).  So |N| checks per generator do."""
     if sorted(img) != list(range(N.order)):
         raise ActionNotHomomorphism("action image is not a bijection of N")
-    for a in range(N.order):
-        for b in range(N.order):
-            if img[N.mul(a, b)] != N.mul(img[a], img[b]):
-                raise ActionNotHomomorphism("action image is not a homomorphism")
+    for g in N.generators:
+        left, right = N.table[g].tolist(), N.table[img[g]].tolist()
+        if any(img[left[x]] != right[img[x]] for x in range(N.order)):
+            raise ActionNotHomomorphism("action image is not a homomorphism")
 
 
 def automorphism_from_generator_images(N: Group, images: dict) -> tuple:
     """Extend a map on N's generators to the full automorphism image
     tuple, by closure.  ``images`` maps generator id -> element id."""
-    amap = {N.identity: N.identity}
-    frontier = [N.identity]
-    while frontier:
-        new = []
-        for x in frontier:
-            for g, ig in images.items():
-                xg, ximg = N.mul(x, g), N.mul(amap[x], ig)
-                if xg in amap:
-                    if amap[xg] != ximg:
-                        raise ActionNotHomomorphism(
-                            "generator images do not define a homomorphism")
-                else:
-                    amap[xg] = ximg
-                    new.append(xg)
-        frontier = new
+    amap = _extend_on_generators(
+        N, N, list(images.items()), ActionNotHomomorphism,
+        "generator images do not define a homomorphism")
     if len(amap) != N.order:
         raise ActionNotHomomorphism("generator images do not cover N")
     return tuple(amap[x] for x in range(N.order))

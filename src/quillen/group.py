@@ -171,9 +171,6 @@ class Group:
             frontier = new
         return frozenset(members)
 
-    def subgroup(self, members: Iterable[int], witness: Optional[tuple] = None) -> "Subgroup":
-        return Subgroup(self, members, witness)
-
     def full(self) -> "Subgroup":
         return Subgroup(self, range(self.order), tuple(self.generators))
 

@@ -3,14 +3,17 @@ Hasse diagram, facets and the reduced Euler characteristic, each by the
 direct definition; normalizers, the list of Sylow subgroups and the
 rank read off every torus; and the
 group builders that the permutation-generator path replaced: groups from
-a full multiplication table, quotient groups with their projection, and
-the wedge formula's right-hand side over a quotient group."""
+a full multiplication table (the quaternion, Heisenberg and semidirect
+product multiplications among them), quotient groups with their
+projection, and the wedge formula's right-hand side over a quotient
+group."""
 
 from typing import Optional, Sequence
 
 from quillen import group as gp
 from quillen import poset as ps
 from quillen.errors import (
+    ActionNotHomomorphism,
     GroupTooLarge,
     HypothesisViolated,
     InvalidPermutation,
@@ -110,8 +113,8 @@ def group_from_table(table: Sequence[Sequence[int]], *,
 
 
 def from_mul_by_table(elems, mul, gen_elems, cap, label=""):
-    """An abstract group from all |G|^2 products (the signature of
-    ``constructions._from_mul``)."""
+    """An abstract group from all |G|^2 products of its ``elems`` under
+    ``mul``, generated by ``gen_elems``."""
     cap = min(cap, gp.TABLE_ORDER_CAP)
     if len(elems) > cap:
         raise GroupTooLarge(f"group order {len(elems)} exceeds cap {cap}")
@@ -119,6 +122,68 @@ def from_mul_by_table(elems, mul, gen_elems, cap, label=""):
     table = [[index[mul(a, b)] for b in elems] for a in elems]
     return group_from_table(table, gen_indices=[index[g] for g in gen_elems],
                             cap=cap, label=label)
+
+
+def quaternion_by_mul(order: int, cap: int = DEFAULT_ELEMENT_CAP) -> Group:
+    """Q_order from x^m = 1, z^2 = x^(m/2), x^z = x^-1 on the pairs
+    (i, e) standing for x^i z^e."""
+    m = order // 2
+
+    def mul(a, b):
+        i, e = a
+        j, f = b
+        if e == 0:
+            return ((i + j) % m, f)
+        k = (i - j) % m
+        if f == 0:
+            return (k, 1)
+        return ((k + m // 2) % m, 0)
+    elems = [(i, e) for e in (0, 1) for i in range(m)]
+    return from_mul_by_table(elems, mul, [(1, 0), (0, 1)], cap,
+                             label=f"Q{order}")
+
+
+def heisenberg_by_mul(p: int, cap: int = DEFAULT_ELEMENT_CAP) -> Group:
+    """p^(1+2) of exponent p (p odd) on the triples (a, b, c) over F_p."""
+    def mul(x, y):
+        a, b, c = x
+        d, e, f = y
+        return ((a + d) % p, (b + e) % p, (c + f + a * e) % p)
+    elems = [(a, b, c) for a in range(p) for b in range(p) for c in range(p)]
+    return from_mul_by_table(elems, mul, [(1, 0, 0), (0, 1, 0)], cap,
+                             label=f"Heis({p})")
+
+
+def semidirect_by_mul(N: Group, H: Group, action: dict,
+                      cap: int = DEFAULT_ELEMENT_CAP) -> Group:
+    """N x| H on the pairs (n, h), with the automorphism of every h of H
+    composed breadth first over H's Cayley graph from those of its
+    generators; two compositions that differ are refused."""
+    auts = {H.identity: tuple(range(N.order))}
+    frontier = [H.identity]
+    while frontier:
+        new = []
+        for h in frontier:
+            for g in H.generators:
+                hg = H.mul(h, g)
+                composed = tuple(auts[h][x] for x in action[g])
+                if hg not in auts:
+                    auts[hg] = composed
+                    new.append(hg)
+                elif auts[hg] != composed:
+                    raise ActionNotHomomorphism(
+                        "generator images are inconsistent on relations")
+        frontier = new
+
+    def mul(x, y):
+        n1, h1 = x
+        n2, h2 = y
+        return (N.mul(n1, auts[h1][n2]), H.mul(h1, h2))
+    elems = [(n, h) for n in range(N.order) for h in range(H.order)]
+    gen_elems = [(n, H.identity) for n in N.generators] + \
+                [(N.identity, h) for h in H.generators]
+    return from_mul_by_table(elems, mul, gen_elems, cap,
+                             label=f"{N.label or '?'}:{H.label or '?'}")
 
 
 class Quotient:

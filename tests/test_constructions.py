@@ -1,7 +1,9 @@
 """Builder and catalog tests: family constructors, product
 constructions, spec serialization, and the named catalog."""
 
+import hashlib
 import json
+import os
 
 import pytest
 
@@ -115,6 +117,43 @@ def test_semidirect_product_rejects_bad_action():
         cs.semidirect_product(N, H, {list(H.generators)[0]: (0, 0, 1, 2, 3)})
 
 
+def test_semidirect_product_refuses_bijective_non_homomorphism():
+    # swapping 1 and 2 in C5: 2 = 1 + 1 would go to 1, not 2 + 2 = 4
+    N, H = cs.cyclic(5), cs.cyclic(2)
+    with pytest.raises(ActionNotHomomorphism, match="not a homomorphism"):
+        cs.semidirect_product(N, H, {H.generators[0]: (0, 2, 1, 3, 4)})
+
+
+def _squaring_on_c5_by_c2():
+    # x -> x^2 is an automorphism of C5 of order 4, so it cannot be the
+    # image of the generator of C2
+    N, H = cs.cyclic(5), cs.cyclic(2)
+    return N, H, {H.generators[0]: tuple(N.power(x, 2) for x in range(5))}
+
+
+def test_semidirect_product_refuses_inconsistent_action():
+    with pytest.raises(ActionNotHomomorphism, match="inconsistent"):
+        cs.semidirect_product(*_squaring_on_c5_by_c2())
+    with pytest.raises(ActionNotHomomorphism, match="inconsistent"):
+        oracles.semidirect_by_mul(*_squaring_on_c5_by_c2())
+
+
+def test_semidirect_product_checks_the_order_before_the_action():
+    with pytest.raises(gp.GroupTooLarge, match="group order 10 exceeds cap 9"):
+        cs.semidirect_product(*_squaring_on_c5_by_c2(), cap=9)
+
+
+def test_semidirect_product_with_unfaithful_action():
+    # both generators of V4 invert C5: consistent, with kernel of order 2
+    N, H = cs.cyclic(5), cs.elementary_abelian(2, 2)
+    inversion = tuple(N.inv(x) for x in range(5))
+    action = {h: inversion for h in H.generators}
+    G = cs.semidirect_product(N, H, action)
+    assert G.order == 20 and gp.center(G).order == 2
+    old = oracles.semidirect_by_mul(N, H, action)
+    assert (G.elements, G.generators) == (old.elements, old.generators)
+
+
 def test_semidirect_product_inversion():
     N = cs.cyclic(3)
     H = cs.cyclic(2)
@@ -131,29 +170,40 @@ def _c49_c21():
     N, H = cs.cyclic(49), cs.cyclic(21)
     g = N.generators[0]  # x -> x^2 has order 21 mod 49
     aut = cs.automorphism_from_generator_images(N, {g: N.power(g, 2)})
-    return cs.semidirect_product(N, H, {H.generators[0]: aut})
+    return N, H, {H.generators[0]: aut}
 
 
 def _catalog_of_kind(kind):
     return [n for n in cs.catalog_names() if cs.catalog(n).kind == kind]
 
 
+def _catalog_semidirect(name):
+    p = cs.catalog(name).params
+    N, H = cs.build(p["n"]), cs.build(p["h"])
+    return N, H, cs._resolve_action(N, H, p["action"])
+
+
+# name -> (the builder, its multiplication-table reference)
 ABSTRACT = {
-    "Q8": lambda: cs.quaternion(8),
-    "Q16": lambda: cs.quaternion(16),
-    "Heis(3)": lambda: cs._heisenberg(3, gp.DEFAULT_ELEMENT_CAP),
-    "Heis(5)": lambda: cs._heisenberg(5, gp.DEFAULT_ELEMENT_CAP),
-    "C49:C21": _c49_c21,
-    **{n: (lambda n=n: cs.build(cs.catalog(n)))
+    "Q8": (lambda: cs.quaternion(8), lambda: oracles.quaternion_by_mul(8)),
+    "Q16": (lambda: cs.quaternion(16),
+            lambda: oracles.quaternion_by_mul(16)),
+    "Heis(3)": (lambda: cs._heisenberg(3, gp.DEFAULT_ELEMENT_CAP),
+                lambda: oracles.heisenberg_by_mul(3)),
+    "Heis(5)": (lambda: cs._heisenberg(5, gp.DEFAULT_ELEMENT_CAP),
+                lambda: oracles.heisenberg_by_mul(5)),
+    "C49:C21": (lambda: cs.semidirect_product(*_c49_c21()),
+                lambda: oracles.semidirect_by_mul(*_c49_c21())),
+    **{n: (lambda n=n: cs.build(cs.catalog(n)),
+           lambda n=n: oracles.semidirect_by_mul(*_catalog_semidirect(n)))
        for n in _catalog_of_kind("semidirect_product")},
 }
 
 
 @pytest.mark.parametrize("name", list(ABSTRACT))
-def test_regular_representation_matches_table_path(name, monkeypatch):
-    G = ABSTRACT[name]()
-    monkeypatch.setattr(cs, "_from_mul", oracles.from_mul_by_table)
-    old = ABSTRACT[name]()
+def test_regular_representation_matches_table_path(name):
+    build, reference = ABSTRACT[name]
+    G, old = build(), reference()
     assert G.provenance == "regular representation"
     assert (G.elements, G.generators, G.degree, G.provenance, G.label) == \
         (old.elements, old.generators, old.degree, old.provenance, old.label)
@@ -249,8 +299,34 @@ def test_affine_witnesses():
     assert gp.o_p_prime(H, 2).order == 81
 
 
+GOLDEN_ELEMENTS = os.path.join(os.path.dirname(__file__), "golden",
+                               "catalog_elements.json")
+
+
+def catalog_elements(name) -> dict:
+    """What pins a catalog group's element ids: its order, degree,
+    generator ids and a sha256 of its sorted element list."""
+    G = cs.catalog_group(name)
+    digest = hashlib.sha256(json.dumps(G.elements).encode()).hexdigest()
+    return {"order": G.order, "degree": G.degree,
+            "generators": list(G.generators), "elements_sha256": digest}
+
+
+@pytest.mark.parametrize("name", cs.catalog_names())
+def test_catalog_elements_match_pinned(name):
+    with open(GOLDEN_ELEMENTS, encoding="utf-8") as fh:
+        assert catalog_elements(name) == json.load(fh)[name]
+
+
 def test_catalog_names_listed():
     names = cs.catalog_names()
     assert "S4" in names and "C3^4:(SD16oD8)" in names
     for n in names:
         assert isinstance(cs.catalog(n), cs.GroupSpec)
+
+
+if __name__ == "__main__":
+    pinned = {name: catalog_elements(name) for name in cs.catalog_names()}
+    with open(GOLDEN_ELEMENTS, "w", encoding="utf-8") as fh:
+        json.dump(pinned, fh, indent=1, sort_keys=True)
+        fh.write("\n")
