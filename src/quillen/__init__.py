@@ -12,16 +12,13 @@ from .constructions import GroupSpec, build, catalog, catalog_group, catalog_nam
 from .poset import (
     SimplicialComplex,
     SubgroupPoset,
-    WedgeAssembly,
     ab_poset,
     brown_poset,
     find_conjunctive_element,
-    join,
     link,
     order_complex,
     quillen_poset,
     upper_interval,
-    wedge,
 )
 from .homology import (
     HomologyProfile,
@@ -60,7 +57,6 @@ __all__ = [
     "SubgroupPoset",
     "TheoremVerdict",
     "TorusComplex",
-    "WedgeAssembly",
     "ab_poset",
     "brown_poset",
     "build",
@@ -73,7 +69,6 @@ __all__ = [
     "group_from_generators",
     "group_stats",
     "is_cohen_macaulay",
-    "join",
     "link",
     "main_theorem_check",
     "order_complex",
@@ -85,5 +80,4 @@ __all__ = [
     "upper_interval",
     "upper_interval_check",
     "verify_pulkus_welker",
-    "wedge",
 ]

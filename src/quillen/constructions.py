@@ -342,6 +342,10 @@ def semidirect_product(N: Group, H: Group, action: dict,
         if h not in H.generators:
             raise ActionNotHomomorphism(f"{h} is not a generator id of H")
         _check_automorphism(N, tuple(img))
+    for g in H.generators:
+        if g not in action:
+            raise ActionNotHomomorphism(
+                f"no action given for generator id {g} of H")
 
     def translation(on_n, on_h):
         return [a * k + b for a in on_n for b in on_h]

@@ -49,10 +49,6 @@ class SimplexNotInComplex(QuillenError):
     pass
 
 
-class BadAttachment(QuillenError):
-    pass
-
-
 class HypothesisViolated(QuillenError):
     """A theorem checker was called on a group violating its hypotheses."""
 

@@ -34,6 +34,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from math import gcd
 from typing import Iterator, Optional, Sequence
 
 from .group import Group, _p_rank
@@ -364,6 +365,47 @@ def reduced_homology(C: SimplicialComplex) -> HomologyProfile:
                      if f > 1)
         torsion.append(tors)
     return HomologyProfile(d, tuple(betti), tuple(torsion))
+
+
+def join_homology(X: HomologyProfile, Y: HomologyProfile) -> HomologyProfile:
+    """Reduced homology of the join X * Y from that of its factors
+    (Milnor): H~_{n+1}(X * Y) is the sum of H~_i(X) (x) H~_j(Y) over
+    i + j = n and of Tor(H~_i(X), H~_j(Y)) over i + j = n - 1.  Degrees
+    start at -1, so a vertex-free factor (H~_-1 = Z) is the unit."""
+    dim = X.dim + Y.dim + 1
+    betti = [0] * (dim + 2)
+    torsion = [[] for _ in range(dim + 2)]
+    for i in range(-1, X.dim + 1):
+        a, s = X.betti_of(i), X.torsion_of(i)
+        for j in range(-1, Y.dim + 1):
+            b, t = Y.betti_of(j), Y.torsion_of(j)
+            q = i + j + 2  # index of degree i + j + 1
+            # Z^a (x) Z/t = (Z/t)^a; Z/s (x) Z/t = Tor = Z/gcd(s, t)
+            both = [gcd(u, v) for u in s for v in t]
+            betti[q] += a * b
+            torsion[q] += list(s) * b + list(t) * a + both
+            if both:  # torsion sits below each top degree: q + 1 <= dim + 1
+                torsion[q + 1] += both
+    return HomologyProfile(dim, tuple(betti), tuple(map(_torsion, torsion)))
+
+
+def wedge_homology(pieces: Sequence[tuple]) -> HomologyProfile:
+    """Reduced homology of a one-point wedge of nonempty complexes, given
+    as (profile, multiplicity) pairs: the direct sum of the pieces' reduced
+    homology, each counted multiplicity times.  A single vertex-free piece
+    is its own wedge."""
+    dim = max(P.dim for P, _ in pieces)
+    degrees = range(-1, dim + 1)
+    betti = tuple(sum(m * P.betti_of(q) for P, m in pieces) for q in degrees)
+    torsion = tuple(_torsion([f for P, m in pieces
+                              for f in P.torsion_of(q) * m]) for q in degrees)
+    return HomologyProfile(dim, betti, torsion)
+
+
+def _torsion(factors: Sequence[int]) -> tuple:
+    """The torsion coefficients of a sum of cyclic groups of the given
+    orders, as `reduced_homology` lists them: invariant factors > 1."""
+    return tuple(f for f in _invariant_factors(factors) if f > 1)
 
 
 # -- sphericity and Cohen-Macaulay checks -------------------------------

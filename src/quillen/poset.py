@@ -1,25 +1,19 @@
 """Subgroup posets (Quillen, Brown, abelian-subgroup, upper intervals)
 and the conjugacy classes of their nodes, their order complexes, and
-the simplicial constructions (link, join, wedge) used to assemble
-homotopy-formula right-hand sides.
+the links of their simplices.
 
 A SimplicialComplex always contains the empty simplex; the vertex-free
 complex {()} has dimension -1 and reduced homology Z in degree -1, which
-makes the join and link degree arithmetic uniform.
+makes the degree arithmetic of links and of the join formula uniform.
 """
 
 from __future__ import annotations
 
 import bisect
 import itertools
-from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .errors import (
-    BadAttachment,
-    NodeNotInPoset,
-    SimplexNotInComplex,
-)
+from .errors import NodeNotInPoset, SimplexNotInComplex
 from . import group as gp
 from .group import Group, Subgroup
 
@@ -204,9 +198,6 @@ class SimplicialComplex:
         return SimplicialComplex(simps, close=True)
 
 
-EMPTY_COMPLEX = SimplicialComplex([])
-
-
 def order_complex(P: SubgroupPoset) -> SimplicialComplex:
     """Simplices are the chains of the poset; vertex i is node i."""
     n = len(P.nodes)
@@ -231,43 +222,3 @@ def link(C: SimplicialComplex, sigma) -> SimplicialComplex:
     out = [tau for tau in C.simplices
            if not (tau & sigma) and (tau | sigma) in C.simplices]
     return SimplicialComplex(out)
-
-
-def join(C1: SimplicialComplex, C2: SimplicialComplex) -> SimplicialComplex:
-    """Join with disjointly relabeled vertices: C1 keeps its ids, C2 is
-    shifted.  Join with the vertex-free complex returns the other factor."""
-    shift = (max(C1.vertices) + 1) if C1.vertices else 0
-    out = []
-    for a in C1.simplices:
-        for b in C2.simplices:
-            out.append(a | frozenset(x + shift for x in b))
-    return SimplicialComplex(out)
-
-
-@dataclass(frozen=True)
-class WedgeAssembly:
-    """A base complex plus pieces, each glued at a base vertex.  The
-    glued vertex of each piece is its id-minimal vertex."""
-    base: SimplicialComplex
-    pieces: tuple  # of (SimplicialComplex, attachment vertex id in base)
-
-
-def wedge(W: WedgeAssembly) -> SimplicialComplex:
-    simps = set(W.base.simplices)
-    fresh = (max(W.base.vertices) + 1) if W.base.vertices else 0
-    for piece, at in W.pieces:
-        if W.base.vertices and at not in W.base.vertices:
-            raise BadAttachment(f"vertex {at} not in base")
-        if not piece.vertices:
-            continue
-        glue = min(piece.vertices)
-        ren = {}
-        for v in piece.vertices:
-            if v == glue:
-                ren[v] = at
-            else:
-                ren[v] = fresh
-                fresh += 1
-        for s in piece.simplices:
-            simps.add(frozenset(ren[v] for v in s))
-    return SimplicialComplex(simps)

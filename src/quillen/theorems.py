@@ -1,7 +1,8 @@
 """Structure decompositions of p-groups with cyclic derived subgroup,
-upper-interval sphericity predictions, the wedge/join homology identity
-for groups with a normal p'-subgroup, p-length bounds, and the
-main-theorem orchestrator tying them together.
+upper-interval sphericity predictions, the wedge formula for groups with
+a normal p'-subgroup (its right-hand side computed from the homology of
+its pieces), p-length bounds, and the main-theorem orchestrator tying
+them together.
 
 Every checker computes its prediction and the actual homology through
 independent routes and reports a verdict; mismatches produce
@@ -21,8 +22,10 @@ from .homology import (
     HomologyProfile,
     SphericityVerdict,
     TorusComplex,
+    join_homology,
     reduced_homology,
     sphericity,
+    wedge_homology,
 )
 from .errors import (
     DecompositionNotFound,
@@ -187,6 +190,9 @@ def classify_odd_p_group(P, p: int) -> StructureReport:
     explicit subgroup search."""
     P = gp._as_subgroup(P)
     G = P.parent
+    if p > gp.TABLE_ORDER_CAP:  # no group built has an order divisible by p
+        raise HypothesisViolated("p odd prime", f"p={p} exceeds the largest "
+                                 f"group order {gp.TABLE_ORDER_CAP}")
     if p == 2 or not gp._is_prime(p):
         raise HypothesisViolated("p odd prime", f"p={p}")
     if not gp.is_p_group(P, p):
@@ -471,7 +477,10 @@ def verify_pulkus_welker(T: TorusComplex) -> TheoremVerdict:
     a p'-group, so every torus of G/N is AN/N for a torus A of G, and
     A -> NA maps A_p(G) onto the preimages of the tori of G/N, keeping
     inclusion; the quotient complex is taken on those preimages.  The
-    tori of NA are the nodes of A inside NA, so A is walked once."""
+    tori of NA are the nodes of A inside NA, so A is walked once.  The
+    right-hand side is the sum of its pieces' homology, each join's by
+    Milnor's formula, one piece per G-class of NA counted once per member
+    (conjugate pieces are isomorphic); over NA = G it reads T's."""
     G, p = T.group, T.prime
     N = gp.o_p_prime(G, p)
     if N.order == 1:
@@ -486,18 +495,18 @@ def verify_pulkus_welker(T: TorusComplex) -> TheoremVerdict:
                  tuple(sorted(set(N.generator_witness)
                               | set(X.generator_witness))))
         for X in A.nodes])
-    base = ps.order_complex(PQ)
-    pieces = []
-    for i, NA in enumerate(PQ.nodes):
-        c_na = ps.order_complex(
-            A.induced(j for j, X in enumerate(A.nodes) if X <= NA))
-        iv = ps.upper_interval(PQ, NA)
-        c_iv = ps.order_complex(iv)
-        pieces.append((ps.join(c_na, c_iv), i))
-    rhs = reduced_homology(ps.wedge(ps.WedgeAssembly(base, tuple(pieces))))
+    pieces = [(reduced_homology(ps.order_complex(PQ)), 1)]
+    for cls in ps.conjugacy_classes(PQ):
+        NA = PQ.nodes[cls[0]]
+        inside = T.profile if NA.order == G.order else reduced_homology(
+            ps.order_complex(A.induced(j for j, X in enumerate(A.nodes)
+                                       if X <= NA)))
+        above = reduced_homology(ps.order_complex(ps.upper_interval(PQ, NA)))
+        pieces.append((join_homology(inside, above), len(cls)))
+    rhs = wedge_homology(pieces)
 
     computed = {"lhs": lhs.to_json(), "rhs": rhs.to_json(),
-                "N_order": N.order, "summands": len(pieces)}
+                "N_order": N.order, "summands": len(PQ)}
     return TheoremVerdict("wedge-formula", "profiles equal exactly",
                           computed, lhs == rhs, profile=lhs)
 

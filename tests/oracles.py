@@ -1,13 +1,15 @@
 """Reference constructions that only the tests use: poset intervals, the
 Hasse diagram, facets and the reduced Euler characteristic, each by the
-direct definition; normalizers, the list of Sylow subgroups and the
-rank read off every torus; and the
-group builders that the permutation-generator path replaced: groups from
-a full multiplication table (the quaternion, Heisenberg and semidirect
-product multiplications among them), quotient groups with their
-projection, and the wedge formula's right-hand side over a quotient
-group."""
+direct definition; the join and the one-point wedge as explicit
+complexes, the oracle for `join_homology` and `wedge_homology`;
+normalizers, the list of Sylow subgroups and the rank read off every
+torus; and the group builders that the permutation-generator path
+replaced: groups from a full multiplication table (the quaternion,
+Heisenberg and semidirect product multiplications among them), quotient
+groups with their projection, and the wedge formula's right-hand side
+over a quotient group, assembled as an explicit wedge of joins."""
 
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from quillen import group as gp
@@ -18,6 +20,7 @@ from quillen.errors import (
     HypothesisViolated,
     InvalidPermutation,
     PreconditionFailed,
+    QuillenError,
 )
 from quillen.group import DEFAULT_ELEMENT_CAP, Group, Subgroup
 from quillen.homology import reduced_homology
@@ -53,6 +56,55 @@ def facets(C: SimplicialComplex) -> list:
 
 def euler_characteristic_reduced(C: SimplicialComplex) -> int:
     return sum((-1) ** (len(s) - 1) for s in C.simplices)
+
+
+# -- joins and wedges ---------------------------------------------------
+
+class BadAttachment(QuillenError):
+    pass
+
+
+EMPTY_COMPLEX = SimplicialComplex([])
+
+
+def join(C1: SimplicialComplex, C2: SimplicialComplex) -> SimplicialComplex:
+    """Join with disjointly relabeled vertices: C1 keeps its ids, C2 is
+    shifted.  Join with the vertex-free complex returns the other factor."""
+    shift = (max(C1.vertices) + 1) if C1.vertices else 0
+    out = []
+    for a in C1.simplices:
+        for b in C2.simplices:
+            out.append(a | frozenset(x + shift for x in b))
+    return SimplicialComplex(out)
+
+
+@dataclass(frozen=True)
+class WedgeAssembly:
+    """A base complex plus pieces, each glued at a base vertex.  The
+    glued vertex of each piece is its id-minimal vertex."""
+    base: SimplicialComplex
+    pieces: tuple  # of (SimplicialComplex, attachment vertex id in base)
+
+
+def wedge(W: WedgeAssembly) -> SimplicialComplex:
+    simps = set(W.base.simplices)
+    fresh = (max(W.base.vertices) + 1) if W.base.vertices else 0
+    for piece, at in W.pieces:
+        if W.base.vertices and at not in W.base.vertices:
+            raise BadAttachment(f"vertex {at} not in base")
+        if not piece.vertices:
+            continue
+        glue = min(piece.vertices)
+        ren = {}
+        for v in piece.vertices:
+            if v == glue:
+                ren[v] = at
+            else:
+                ren[v] = fresh
+                fresh += 1
+        for s in piece.simplices:
+            simps.add(frozenset(ren[v] for v in s))
+    return SimplicialComplex(simps)
 
 
 # -- group primitives ---------------------------------------------------
@@ -238,9 +290,9 @@ def verify_pulkus_welker_by_quotient(G: Group, p: int) -> TheoremVerdict:
         NA = Q.preimage(Abar)
         c_na = ps.order_complex(ps.quillen_poset(NA, p))
         c_iv = ps.order_complex(ps.upper_interval(PQ, Abar))
-        pieces.append((ps.join(c_na, c_iv), i))
+        pieces.append((join(c_na, c_iv), i))
     base = ps.order_complex(PQ)
-    rhs = reduced_homology(ps.wedge(ps.WedgeAssembly(base, tuple(pieces))))
+    rhs = reduced_homology(wedge(WedgeAssembly(base, tuple(pieces))))
     computed = {"lhs": lhs.to_json(), "rhs": rhs.to_json(),
                 "N_order": N.order, "summands": len(pieces)}
     return TheoremVerdict("wedge-formula", "profiles equal exactly",

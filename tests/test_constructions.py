@@ -143,6 +143,15 @@ def test_semidirect_product_checks_the_order_before_the_action():
         cs.semidirect_product(*_squaring_on_c5_by_c2(), cap=9)
 
 
+def test_semidirect_product_refuses_an_action_missing_a_generator():
+    N, H = cs.cyclic(5), cs.cyclic(4)
+    with pytest.raises(ActionNotHomomorphism, match="no action given"):
+        cs.semidirect_product(N, H, {})
+    # the size check still comes first
+    with pytest.raises(gp.GroupTooLarge):
+        cs.semidirect_product(N, H, {}, cap=19)
+
+
 def test_semidirect_product_with_unfaithful_action():
     # both generators of V4 invert C5: consistent, with kernel of order 2
     N, H = cs.cyclic(5), cs.elementary_abelian(2, 2)

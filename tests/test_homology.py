@@ -21,9 +21,11 @@ from quillen.homology import (
     _unit_pivots,
     boundary_matrix,
     is_cohen_macaulay,
+    join_homology,
     reduced_homology,
     smith_normal_form,
     sphericity,
+    wedge_homology,
 )
 
 import oracles
@@ -141,7 +143,7 @@ def test_projective_plane_torsion():
 
 def test_octahedron_is_a_2_sphere():
     s0 = ps.SimplicialComplex([[0], [1]], close=True)
-    octa = ps.join(ps.join(s0, s0), s0)
+    octa = oracles.join(oracles.join(s0, s0), s0)
     assert octa.n_simplices(2) == 8
     prof = reduced_homology(octa)
     assert prof.nonzero_degrees() == (2,)
@@ -150,17 +152,61 @@ def test_octahedron_is_a_2_sphere():
 
 def test_join_of_zero_spheres_is_circle():
     s0 = ps.SimplicialComplex([[0], [1]], close=True)
-    prof = reduced_homology(ps.join(s0, s0))
+    prof = reduced_homology(oracles.join(s0, s0))
     assert prof.nonzero_degrees() == (1,)
     assert prof.betti_of(1) == 1
 
 
 def test_wedge_of_circles():
     tri = ps.SimplicialComplex([[0, 1], [1, 2], [0, 2]], close=True)
-    W = ps.wedge(ps.WedgeAssembly(tri, ((tri, 0), (tri, 1))))
+    W = oracles.wedge(oracles.WedgeAssembly(tri, ((tri, 0), (tri, 1))))
     prof = reduced_homology(W)
     assert prof.nonzero_degrees() == (1,)
     assert prof.betti_of(1) == 3
+
+
+S0 = ps.SimplicialComplex([[0], [1]], close=True)
+CIRCLE = ps.SimplicialComplex([[0, 1], [1, 2], [0, 2]], close=True)
+RP2 = ps.SimplicialComplex(RP2_FACETS, close=True)
+VERTEX_FREE = ps.SimplicialComplex([])
+
+
+@pytest.mark.parametrize("X,Y", [
+    (S0, S0), (RP2, RP2), (CIRCLE, RP2), (RP2, S0), (RP2, VERTEX_FREE),
+    (VERTEX_FREE, CIRCLE), (VERTEX_FREE, VERTEX_FREE)],
+    ids=["S0*S0", "RP2*RP2", "circle*RP2", "RP2*S0", "RP2*void",
+         "void*circle", "void*void"])
+def test_join_homology_matches_the_join_complex(X, Y):
+    """Milnor's formula, Tor term included (RP2 * RP2 has H~_4 = Z/2),
+    against the SNF of the explicit join."""
+    got = join_homology(reduced_homology(X), reduced_homology(Y))
+    assert got.to_json() == reduced_homology(oracles.join(X, Y)).to_json()
+
+
+def test_wedge_homology_matches_the_wedge_complex():
+    """A wedge with multiplicities: the circle base, RP2 twice and the
+    circle three times, against the SNF of the explicit wedge."""
+    pieces = ((RP2, 0), (RP2, 1), (CIRCLE, 0), (CIRCLE, 1), (CIRCLE, 2))
+    W = reduced_homology(oracles.wedge(oracles.WedgeAssembly(CIRCLE, pieces)))
+    got = wedge_homology([(reduced_homology(CIRCLE), 1),
+                          (reduced_homology(RP2), 2),
+                          (reduced_homology(CIRCLE), 3)])
+    assert got.to_json() == W.to_json()
+    assert got.betti_of(1) == 4 and got.torsion_of(1) == (2, 2)
+    # a lone vertex-free piece is its own wedge
+    void = reduced_homology(VERTEX_FREE)
+    assert wedge_homology([(void, 1)]).to_json() == void.to_json()
+
+
+def test_join_and_wedge_homology_normalize_mixed_torsion():
+    """Z/4 (x) Z/6 = Tor(Z/4, Z/6) = Z/2, and Z/4 + Z/6 = Z/2 + Z/12,
+    in the invariant-factor form that `reduced_homology` gives."""
+    z4 = HomologyProfile(2, (0, 0, 0, 0), ((), (), (4,), ()))
+    z6 = HomologyProfile(2, (0, 0, 0, 0), ((), (), (6,), ()))
+    J = join_homology(z4, z6)
+    assert J.dim == 5 and J.nonzero_degrees() == (3, 4)
+    assert J.torsion_of(3) == (2,) and J.torsion_of(4) == (2,)
+    assert wedge_homology([(z4, 1), (z6, 1)]).torsion_of(1) == (2, 12)
 
 
 def test_euler_characteristic_consistency():
@@ -250,7 +296,7 @@ def test_snf_residual_carries_projective_plane_torsion():
     rp2 = ps.SimplicialComplex(RP2_FACETS, close=True)
     assert _residual_torsion(rp2, dense=True) == [2]
     # H~_3 = Z/2 and, from the Tor term, H~_4 = Z/2
-    assert _residual_torsion(ps.join(rp2, rp2), dense=False) == [2, 2]
+    assert _residual_torsion(oracles.join(rp2, rp2), dense=False) == [2, 2]
 
 
 def test_torus_complex_of_s3_to_the_fourth():
@@ -319,7 +365,7 @@ def test_cohen_macaulay_positive():
     assert is_cohen_macaulay(simplex_boundary(2)).cohen_macaulay
     assert is_cohen_macaulay(simplex_boundary(3)).cohen_macaulay
     s0 = ps.SimplicialComplex([[0], [1]], close=True)
-    assert is_cohen_macaulay(ps.join(s0, s0)).cohen_macaulay
+    assert is_cohen_macaulay(oracles.join(s0, s0)).cohen_macaulay
 
 
 def test_cohen_macaulay_negative():

@@ -3,11 +3,13 @@ predictions, the wedge formula, p-length bounds, and the main pipeline,
 on small catalog instances."""
 
 import json
+import time
 
 import pytest
 
 from quillen import constructions as cs
 from quillen import group as gp
+from quillen import homology
 from quillen import poset as ps
 from quillen import theorems as th
 from quillen.errors import (DecompositionNotFound, HypothesisViolated,
@@ -57,6 +59,15 @@ def test_classify_rejects_bad_hypotheses():
     with pytest.raises(HypothesisViolated):
         # Omega1 != P for the exponent-9 extraspecial group
         th.classify_odd_p_group(G_of("ES27-").full(), 3)
+
+
+def test_classify_refuses_a_huge_prime_fast():
+    """A prime above every group order is refused before any primality
+    test: trial division up to its square root would take minutes."""
+    t0 = time.perf_counter()
+    with pytest.raises(HypothesisViolated, match="exceeds the largest"):
+        th.classify_odd_p_group(G_of("S3").trivial_subgroup(), 2**61 - 1)
+    assert time.perf_counter() - t0 < 1.0
 
 
 # -- 2-group TD decomposition -------------------------------------------
@@ -315,12 +326,13 @@ def test_wedge_formula(name, p):
 
 @pytest.mark.parametrize("names,p", [((n,), p) for n, p in PW_ROWS]
                          + [(("S3", "S3", "S3"), 2), (("S4", "S3"), 2),
-                            (("C7:C3", "C7:C3"), 3)],
+                            (("C7:C3", "C7:C3"), 3), (("S4", "S4"), 3),
+                            (("S4", "C5"), 2)],
                          ids=lambda x: "x".join(x) if isinstance(x, tuple)
                          else f"p{x}")
 def test_wedge_formula_matches_quotient_group_right_hand_side(names, p):
-    G = cs.direct_product([G_of(n) for n in names]) if len(names) > 1 \
-        else G_of(names[0])
+    factors = [cs.cyclic(5) if n == "C5" else G_of(n) for n in names]
+    G = cs.direct_product(factors) if len(names) > 1 else factors[0]
     v = th.verify_pulkus_welker(TorusComplex(G, p))
     assert v.to_json() == \
         oracles.verify_pulkus_welker_by_quotient(G, p).to_json()
@@ -340,6 +352,25 @@ def test_wedge_formula_walks_the_tori_once(monkeypatch):
     v = th.verify_pulkus_welker(TorusComplex(G_of("C3:(D16xC2)"), 2))
     assert v.agrees is True and v.computed["summands"] > 1
     assert len(calls) == 1
+
+
+def test_wedge_formula_reduces_the_torus_complex_once(monkeypatch):
+    """The piece over NA = G reads the torus complex's homology from T:
+    on S3 at p = 2 (NA = G for every torus) no complex equal to the
+    torus complex is reduced again."""
+    T = TorusComplex(G_of("S3"), 2)
+    assert T.profile.betti_of(0) == 2
+    reduced, reduce = [], homology.reduced_homology
+
+    def counted_reduce(C):
+        reduced.append(C)
+        return reduce(C)
+
+    for mod in (homology, th):
+        monkeypatch.setattr(mod, "reduced_homology", counted_reduce)
+    v = th.verify_pulkus_welker(T)
+    assert v.agrees is True and v.computed["summands"] == 1
+    assert reduced and not any(C == T.complex for C in reduced)
 
 
 def test_wedge_formula_s3_values():
