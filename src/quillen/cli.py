@@ -1,9 +1,10 @@
 """Command-line front end: parse group specs, run analyses, emit
 human-readable and JSON reports, and run the pinned verification suite.
 
-Exit codes: 0 success, 1 input error, 2 red alert (a verdict with
-``agrees`` false, or a decomposition guaranteed by a structure result
-that could not be exhibited)."""
+Exit codes: 0 success, 1 input error or any other library error (a
+`QuillenError`), 2 red alert (a verdict with ``agrees`` false, or a
+decomposition guaranteed by a structure result that could not be
+exhibited)."""
 
 from __future__ import annotations
 
@@ -22,11 +23,8 @@ from . import theorems as th
 from .errors import (
     DecompositionNotFound,
     GroupTooLarge,
-    HypothesisViolated,
     InvalidSpec,
-    PreconditionFailed,
     QuillenError,
-    UnknownName,
 )
 from .group import DEFAULT_ELEMENT_CAP, TABLE_ORDER_CAP, Group
 from .homology import HOMOLOGY_PROXY_CAVEAT, TorusComplex, reduced_homology
@@ -488,9 +486,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (InvalidSpec, UnknownName, GroupTooLarge, HypothesisViolated,
-            PreconditionFailed) as e:
+    except QuillenError as e:
         print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
+        if isinstance(e, DecompositionNotFound):
+            return EXIT_RED_ALERT
         return EXIT_INPUT_ERROR
 
 

@@ -421,6 +421,8 @@ def build(spec: GroupSpec, cap: int = DEFAULT_ELEMENT_CAP) -> Group:
                                             label=p.get("label", ""))
     except KeyError as e:
         raise InvalidSpec(f"missing parameter {e} for kind {k!r}") from e
+    except (TypeError, ValueError) as e:
+        raise InvalidSpec(f"bad parameters for kind {k!r}: {e}") from e
     raise InvalidSpec(f"unknown kind {k!r}")
 
 

@@ -43,13 +43,6 @@ def compose(a: Perm, b: Perm) -> Perm:
     return tuple(a[x] for x in b)
 
 
-def invert(a: Perm) -> Perm:
-    inv = [0] * len(a)
-    for i, x in enumerate(a):
-        inv[x] = i
-    return tuple(inv)
-
-
 def validate_permutation(p: Sequence[int], degree: int) -> Perm:
     t = tuple(p)
     if len(t) != degree or sorted(t) != list(range(degree)):
@@ -148,9 +141,6 @@ class Group:
                 o += 1
             self._order_of[a] = o
         return o
-
-    def elements_of_order(self, k: int) -> list:
-        return [a for a in range(self.order) if self.element_order(a) == k]
 
     # -- subgroup plumbing ----------------------------------------------
 
@@ -715,33 +705,6 @@ def all_p_subgroups(S, p: int) -> list:
     seeds = (G.closure([x]) for x in sorted(amb)
              if G.element_order(x) == p)
     return _grow(G, amb, seeds, lambda H, g: _extends_p(G, p, H, g))
-
-
-def all_subgroups(S) -> list:
-    """All subgroups (as member frozensets) of the small Group or
-    Subgroup S, by extension BFS: H<g> for every found H and every g of S
-    outside it, closed from a generating tuple of H plus g.  Every
-    element of the coset Hg gives the same H<g>, so one per coset is
-    closed.  Exponential in the subgroup count; desk scale only."""
-    S = _as_subgroup(S)
-    G = S.parent
-    found = {frozenset([G.identity]): ()}  # subgroup -> generating tuple
-    cur = list(found.items())
-    while cur:
-        nxt = {}
-        for H, gens in cur:
-            hs = sorted(H)
-            done = set(H)
-            for g in S.members:
-                if g in done:
-                    continue
-                done.update(G.table[hs, g].tolist())
-                K = G.closure(gens + (g,))
-                if K not in found and K not in nxt:
-                    nxt[K] = gens + (g,)
-        found.update(nxt)
-        cur = list(nxt.items())
-    return sorted(found, key=lambda s: (len(s), tuple(sorted(s))))
 
 
 def abelian_subgroups(S) -> list:

@@ -62,7 +62,8 @@ def smith_normal_form(matrix) -> tuple:
     integer matrix.  Accepts a dense row-list or a dict {(i, j): value}.
 
     +-1 pivots are eliminated first (`_unit_pivots`); only the residual
-    they leave goes through the Euclidean engine (`_eliminate`).
+    they leave goes through Euclidean steps (`_eliminate`), and the
+    diagonal is put in chain form by gcd and lcm (`_invariant_factors`).
     """
     rows = _to_sparse(matrix)
     units = _unit_pivots(rows)
@@ -137,135 +138,62 @@ def _unit_pivots(rows: dict) -> int:
 
 
 def _eliminate(rows: dict) -> list:
-    """Diagonalize by integer row/column operations; returns the nonzero
-    diagonal entries (not yet normalized to a divisibility chain)."""
-    # column index: col -> set of rows with a nonzero entry there
-    cols = {}
-    for i, r in rows.items():
-        for j in r:
-            cols.setdefault(j, set()).add(i)
+    """Diagonalize a sparse row dict in place by Euclidean steps; return
+    the nonzero diagonal entries, not yet a divisibility chain.
+
+    The pivot is an entry of least absolute value.  Row operations reduce
+    the rest of its column modulo the pivot; a remainder left there
+    becomes the pivot.  Once the column holds only the pivot, column
+    operations reduce the rest of its row modulo the pivot, touching no
+    other row; a remainder left there becomes the pivot.  Otherwise the
+    pivot's row and column are dropped.  Each move is to a strictly
+    smaller pivot, so the loop ends.  Columns are found by scanning the
+    rows: the residual that `_unit_pivots` leaves is small.
+    """
     diag = []
-
-    def addrow(src, dst, c):
-        """row[dst] += c * row[src]"""
-        rs = rows.get(src, {})
-        rd = rows.setdefault(dst, {})
-        for j, v in rs.items():
-            nv = rd.get(j, 0) + c * v
-            if nv:
-                rd[j] = nv
-                cols.setdefault(j, set()).add(dst)
-            elif j in rd:
-                del rd[j]
-                cols[j].discard(dst)
-
-    def addcol(src, dst, c):
-        """col[dst] += c * col[src]"""
-        for i in list(cols.get(src, ())):
-            v = rows[i].get(src, 0)
-            nv = rows[i].get(dst, 0) + c * v
-            if nv:
-                rows[i][dst] = nv
-                cols.setdefault(dst, set()).add(i)
-            elif dst in rows[i]:
-                del rows[i][dst]
-                cols[dst].discard(i)
-
-    def remove(i, j):
-        for jj in list(rows.get(i, ())):
-            cols[jj].discard(i)
-        rows.pop(i, None)
-        for ii in list(cols.get(j, ())):
-            rows[ii].pop(j, None)
-        cols.pop(j, None)
-
-    while True:
-        # pick a pivot: prefer +-1 entries with minimal fill, else the
-        # smallest absolute value
-        best = None
-        for i, r in rows.items():
-            if not r:
-                continue
-            for j, v in r.items():
-                av = abs(v)
-                fill = (len(r) - 1) * (len(cols[j]) - 1)
-                key = (av != 1, av, fill, i, j)
-                if best is None or key < best[0]:
-                    best = (key, i, j)
-            if best and best[0][0] is False and best[0][2] == 0:
-                break
-        if best is None:
-            break
-        _, pi, pj = best
-        # make the pivot divide its row and column (Euclidean steps)
+    while rows:
+        pi, pj = min(((i, j) for i, r in rows.items() for j in r),
+                     key=lambda ij: abs(rows[ij[0]][ij[1]]))
         while True:
-            pv = rows[pi][pj]
-            moved = False
-            for i in list(cols[pj]):
-                if i == pi:
-                    continue
-                v = rows[i].get(pj, 0)
-                if v == 0:
-                    continue
-                q = v // pv
-                if q:
-                    addrow(pi, i, -q)
-                if rows.get(i, {}).get(pj, 0):
-                    pi = i  # remainder is smaller; rotate pivot
-                    moved = True
-                    break
-            if moved:
+            prow = rows[pi]
+            pv = prow[pj]
+            for i in [i for i, r in rows.items() if i != pi and pj in r]:
+                r = rows[i]
+                c = r[pj] // pv
+                for j, v in prow.items():
+                    nv = r.get(j, 0) - c * v
+                    if nv:
+                        r[j] = nv
+                    else:
+                        r.pop(j, None)
+                if not r:
+                    del rows[i]
+            left = [i for i, r in rows.items() if i != pi and pj in r]
+            if left:
+                pi = min(left, key=lambda i: abs(rows[i][pj]))
                 continue
-            for j in list(rows[pi]):
-                if j == pj:
-                    continue
-                v = rows[pi][j]
-                q = v // pv
-                if q:
-                    addcol(pj, j, -q)
-                if rows[pi].get(j, 0):
-                    pj = j
-                    moved = True
-                    break
-            if not moved:
+            rem = {j: v % pv for j, v in prow.items() if j != pj and v % pv}
+            if not rem:
                 break
-        diag.append(abs(rows[pi][pj]))
-        remove(pi, pj)
+            rows[pi] = {pj: pv, **rem}
+            pj = min(rem, key=lambda j: abs(rem[j]))
+        diag.append(abs(pv))
+        del rows[pi]
     return diag
 
 
 def _invariant_factors(diag: Sequence[int]) -> tuple:
-    """Normalize a diagonal multiset to the divisibility chain via prime
-    decomposition (entries are small at desk scale)."""
-    powers = {}  # prime -> sorted list of exponents, descending
-    r = len(diag)
-    for d in diag:
-        for p, e in _factorize(d).items():
-            powers.setdefault(p, []).append(e)
-    for p in powers:
-        powers[p].sort(reverse=True)
-    factors = []
-    for k in range(r):
-        f = 1
-        for p, es in powers.items():
-            if k < len(es):
-                f *= p ** es[k]
-        factors.append(f)
-    factors.reverse()  # ascending divisibility chain
-    return tuple(factors)
-
-
-def _factorize(n: int) -> dict:
-    out = {}
-    d = 2
-    while d * d <= n:
-        while n % d == 0:
-            out[d] = out.get(d, 0) + 1
-            n //= d
-        d += 1
-    if n > 1:
-        out[n] = out.get(n, 0) + 1
-    return out
+    """Normalize a multiset of positive integers, the orders of a sum of
+    cyclic groups, to its divisibility chain d1 | d2 | ... | dr.  The 1s
+    are counted; each pair of the other entries is replaced by its gcd
+    and lcm, in order, which leaves the group unchanged and makes each
+    entry divide every later one."""
+    rest = [d for d in diag if d != 1]
+    for i in range(len(rest)):
+        for j in range(i + 1, len(rest)):
+            g = gcd(rest[i], rest[j])
+            rest[i], rest[j] = g, rest[i] // g * rest[j]
+    return (1,) * (len(diag) - len(rest)) + tuple(sorted(rest))
 
 
 # -- boundary matrices and reduced homology -----------------------------

@@ -7,7 +7,10 @@ torus; and the group builders that the permutation-generator path
 replaced: groups from a full multiplication table (the quaternion,
 Heisenberg and semidirect product multiplications among them), quotient
 groups with their projection, and the wedge formula's right-hand side
-over a quotient group, assembled as an explicit wedge of joins."""
+over a quotient group, assembled as an explicit wedge of joins; every
+subgroup by exhaustive search, the enumerators' oracle, and the elements
+of a given order; and the Smith normal form's old Euclidean engine, with
+its divisibility chain by prime factorization."""
 
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -134,6 +137,171 @@ def all_sylow_subgroups(G: Group, p: int) -> list:
         Q = gp.conjugate_subgroup(P, g)
         seen.setdefault(Q.members, Q)
     return [seen[m] for m in sorted(seen)]
+
+
+def elements_of_order(G: Group, k: int) -> list:
+    return [a for a in range(G.order) if G.element_order(a) == k]
+
+
+def all_subgroups(S) -> list:
+    """All subgroups (as member frozensets) of the small Group or
+    Subgroup S, by extension BFS: H<g> for every found H and every g of S
+    outside it, closed from a generating tuple of H plus g.  Every
+    element of the coset Hg gives the same H<g>, so one per coset is
+    closed.  Exponential in the subgroup count; desk scale only."""
+    S = gp._as_subgroup(S)
+    G = S.parent
+    found = {frozenset([G.identity]): ()}  # subgroup -> generating tuple
+    cur = list(found.items())
+    while cur:
+        nxt = {}
+        for H, gens in cur:
+            hs = sorted(H)
+            done = set(H)
+            for g in S.members:
+                if g in done:
+                    continue
+                done.update(G.table[hs, g].tolist())
+                K = G.closure(gens + (g,))
+                if K not in found and K not in nxt:
+                    nxt[K] = gens + (g,)
+        found.update(nxt)
+        cur = list(nxt.items())
+    return sorted(found, key=lambda s: (len(s), tuple(sorted(s))))
+
+
+# -- the old Smith normal form engine ----------------------------------
+
+def eliminate(rows: dict) -> list:
+    """Diagonalize by integer row/column operations; returns the nonzero
+    diagonal entries (not yet normalized to a divisibility chain)."""
+    # column index: col -> set of rows with a nonzero entry there
+    cols = {}
+    for i, r in rows.items():
+        for j in r:
+            cols.setdefault(j, set()).add(i)
+    diag = []
+
+    def addrow(src, dst, c):
+        """row[dst] += c * row[src]"""
+        rs = rows.get(src, {})
+        rd = rows.setdefault(dst, {})
+        for j, v in rs.items():
+            nv = rd.get(j, 0) + c * v
+            if nv:
+                rd[j] = nv
+                cols.setdefault(j, set()).add(dst)
+            elif j in rd:
+                del rd[j]
+                cols[j].discard(dst)
+
+    def addcol(src, dst, c):
+        """col[dst] += c * col[src]"""
+        for i in list(cols.get(src, ())):
+            v = rows[i].get(src, 0)
+            nv = rows[i].get(dst, 0) + c * v
+            if nv:
+                rows[i][dst] = nv
+                cols.setdefault(dst, set()).add(i)
+            elif dst in rows[i]:
+                del rows[i][dst]
+                cols[dst].discard(i)
+
+    def remove(i, j):
+        for jj in list(rows.get(i, ())):
+            cols[jj].discard(i)
+        rows.pop(i, None)
+        for ii in list(cols.get(j, ())):
+            rows[ii].pop(j, None)
+        cols.pop(j, None)
+
+    while True:
+        # pick a pivot: prefer +-1 entries with minimal fill, else the
+        # smallest absolute value
+        best = None
+        for i, r in rows.items():
+            if not r:
+                continue
+            for j, v in r.items():
+                av = abs(v)
+                fill = (len(r) - 1) * (len(cols[j]) - 1)
+                key = (av != 1, av, fill, i, j)
+                if best is None or key < best[0]:
+                    best = (key, i, j)
+            if best and best[0][0] is False and best[0][2] == 0:
+                break
+        if best is None:
+            break
+        _, pi, pj = best
+        # make the pivot divide its row and column (Euclidean steps)
+        while True:
+            pv = rows[pi][pj]
+            moved = False
+            for i in list(cols[pj]):
+                if i == pi:
+                    continue
+                v = rows[i].get(pj, 0)
+                if v == 0:
+                    continue
+                q = v // pv
+                if q:
+                    addrow(pi, i, -q)
+                if rows.get(i, {}).get(pj, 0):
+                    pi = i  # remainder is smaller; rotate pivot
+                    moved = True
+                    break
+            if moved:
+                continue
+            for j in list(rows[pi]):
+                if j == pj:
+                    continue
+                v = rows[pi][j]
+                q = v // pv
+                if q:
+                    addcol(pj, j, -q)
+                if rows[pi].get(j, 0):
+                    pj = j
+                    moved = True
+                    break
+            if not moved:
+                break
+        diag.append(abs(rows[pi][pj]))
+        remove(pi, pj)
+    return diag
+
+
+def invariant_factors(diag: Sequence[int]) -> tuple:
+    """Normalize a diagonal multiset to the divisibility chain via prime
+    decomposition (entries are small at desk scale)."""
+    powers = {}  # prime -> sorted list of exponents, descending
+    r = len(diag)
+    for d in diag:
+        for p, e in factorize(d).items():
+            powers.setdefault(p, []).append(e)
+    for p in powers:
+        powers[p].sort(reverse=True)
+    factors = []
+    for k in range(r):
+        f = 1
+        for p, es in powers.items():
+            if k < len(es):
+                f *= p ** es[k]
+        factors.append(f)
+    factors.reverse()  # ascending divisibility chain
+    return tuple(factors)
+
+
+def factorize(n: int) -> dict:
+    out = {}
+    d = 2
+    while d * d <= n:
+        while n % d == 0:
+            out[d] = out.get(d, 0) + 1
+            n //= d
+        d += 1
+    if n > 1:
+        out[n] = out.get(n, 0) + 1
+    return out
 
 
 # -- groups from multiplication tables ----------------------------------

@@ -11,6 +11,7 @@ import pytest
 
 from quillen import cli, homology, poset, theorems
 from quillen import constructions as cs
+from quillen.errors import DecompositionNotFound
 
 
 def run_cli(args, out_path):
@@ -162,6 +163,44 @@ def test_exit_code_input_errors(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     assert run_cli(["quillen", str(bad), "--prime", "2"], out)[0] == 1
+
+
+def _named(name):
+    return {"kind": "named", "params": {"name": name}}
+
+
+@pytest.mark.parametrize("spec,error", [
+    ({"kind": "perm", "params": {"degree": 3, "generators": [[1, 1, 2]]}},
+     "InvalidPermutation"),
+    ({"kind": "central_product", "params": {
+        "a": _named("D8"), "b": _named("D8"), "pairs": [[4, 4], [4, 5]]}},
+     "NotCentral"),
+    ({"kind": "semidirect_product", "params": {
+        "n": {"kind": "cyclic", "params": {"order": 3}},
+        "h": {"kind": "cyclic", "params": {"order": 2}},
+        "action": [[0, 0, 0]]}},
+     "ActionNotHomomorphism"),
+    ({"kind": "cyclic", "params": {"order": "x"}}, "InvalidSpec"),
+    ({"kind": "dihedral", "params": {"order": [8]}}, "InvalidSpec")],
+    ids=["perm-not-bijective", "pairs-not-central", "action-not-bijective",
+         "order-a-string", "order-a-list"])
+def test_library_errors_are_typed_input_errors(spec, error, tmp_path,
+                                               capsys):
+    """Every QuillenError from building a spec, an ill-typed parameter
+    included, is exit 1 with one error line."""
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    assert cli.main(["quillen", str(path), "--prime", "2"]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {error}: ")
+
+
+def test_escaped_decomposition_failure_is_a_red_alert(monkeypatch, capsys):
+    """A DecompositionNotFound that no command catches is exit 2."""
+    def fail(T):
+        raise DecompositionNotFound("no lift")
+    monkeypatch.setattr(theorems, "main_theorem_check", fail)
+    assert cli.main(["main-check", "--name", "S3", "--prime", "2"]) == 2
+    assert capsys.readouterr().err == "error: DecompositionNotFound: no lift\n"
 
 
 def test_exit_code_red_alert(tmp_path):

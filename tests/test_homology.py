@@ -1,8 +1,11 @@
-"""Homology engine tests: Smith normal form against an independent
-oracle, classical fixtures with known homology, and the sphericity and
-Cohen-Macaulay checkers."""
+"""Homology engine tests: Smith normal form against sympy and against
+the old Euclidean engine, classical fixtures with known homology, and
+the sphericity and Cohen-Macaulay checkers."""
 
+import json
 import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -218,12 +221,13 @@ def test_euler_characteristic_consistency():
         assert chi == oracles.euler_characteristic_reduced(C)
 
 
-# -- unit pivots + residual vs the Euclidean engine alone ---------------
+# -- unit pivots + residual vs the old Euclidean engine -----------------
 
 def _old_engine(matrix):
-    """The Euclidean engine on the whole matrix: the oracle."""
-    diag = _eliminate(_to_sparse(matrix))
-    return _invariant_factors(diag), len(diag)
+    """The old Euclidean engine on the whole matrix, with its chain by
+    prime factorization: the oracle."""
+    diag = oracles.eliminate(_to_sparse(matrix))
+    return oracles.invariant_factors(diag), len(diag)
 
 
 def _two_phases(matrix):
@@ -269,6 +273,64 @@ def test_snf_without_unit_entries_is_all_residual():
                 for _ in range(m)]
         units, _ = _assert_snf_agrees(rows, rows)
         assert units == 0
+
+
+UNIT_FREE = (2, -2, 3, 4, -6, 9)
+
+
+def _unit_free(rng, m, n, density):
+    return [[rng.choice(UNIT_FREE) if rng.random() < density else 0
+             for _ in range(n)] for _ in range(m)]
+
+
+def test_snf_unit_free_up_to_12x12():
+    """No +-1 entry, so every pivot is a Euclidean step of the residual."""
+    rng = random.Random(18)
+    for _ in range(40):
+        m, n = rng.randint(1, 12), rng.randint(1, 12)
+        rows = _unit_free(rng, m, n, rng.uniform(0.1, 0.5))
+        _assert_snf_agrees(rows, rows)
+
+
+def test_invariant_factors_match_the_factorization_chain():
+    """The gcd/lcm chain equals the chain by prime factorization on
+    multisets with 1s and repeats."""
+    rng = random.Random(19)
+    pool = (1, 2, 3, 4, 5, 6, 8, 9, 12, 18, 25, 36, 49, 60, 97, 1024)
+    for _ in range(300):
+        diag = [1] * rng.randint(0, 3) + [rng.choice(pool)
+                                          for _ in range(rng.randint(0, 10))]
+        rng.shuffle(diag)
+        assert _invariant_factors(diag) == oracles.invariant_factors(diag)
+
+
+_NO_STALL = """import json, sys, time
+from quillen.homology import _invariant_factors, smith_normal_form
+out = []
+for rows in json.loads(sys.stdin.read()):
+    t0 = time.perf_counter()
+    factors, rank = smith_normal_form(rows)
+    out.append([list(factors), rank, time.perf_counter() - t0])
+print(json.dumps([out, list(_invariant_factors((6, 4 * (2**61 - 1))))]))
+"""
+
+
+def test_snf_does_not_stall_on_unit_free_25x25():
+    """Two 25x25 matrices on which the old engine's pivot rotation grew
+    entries to about 10^6 bits (seed 3 still ran after 60 s), and a
+    chain whose prime factorization needs trial division up to 2^30.5.
+    Run in a subprocess with a timeout, so that a stall fails the test
+    instead of hanging it."""
+    mats = [_unit_free(random.Random(seed), 25, 25, 0.2) for seed in (3, 17)]
+    proc = subprocess.run([sys.executable, "-c", _NO_STALL],
+                          input=json.dumps(mats), capture_output=True,
+                          text=True, timeout=20)
+    assert proc.returncode == 0, proc.stderr
+    snfs, chain = json.loads(proc.stdout)
+    for rows, (factors, rank, seconds) in zip(mats, snfs):
+        assert (tuple(factors), rank) == _oracle_factors(rows)
+        assert seconds < 1
+    assert chain == [2, 12 * (2**61 - 1)]
 
 
 @settings(max_examples=40, deadline=None)

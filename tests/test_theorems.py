@@ -137,7 +137,7 @@ def test_decompose_d_is_the_centralizer(name):
     assert cands
     for T, _ in cands:
         CT = gp.centralizer(P, T)
-        accepted = [dm for dm in gp.all_subgroups(CT)
+        accepted = [dm for dm in oracles.all_subgroups(CT)
                     if _search_accepts(P, T, gp.Subgroup(G, dm), Zo)]
         assert accepted in ([], [CT.member_set])
     rep = th.decompose_2group(P)
@@ -235,7 +235,7 @@ def _search_central_split(P, p):
     G = P.parent
     Z = gp.center(P)
     X = gp.omega1(Z, p)
-    for dm in gp.all_subgroups(P):
+    for dm in oracles.all_subgroups(P):
         D = gp.Subgroup(G, dm)
         if (gp.is_extraspecial(D, p)
                 and gp.center(D).member_set == X.member_set
