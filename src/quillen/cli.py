@@ -26,7 +26,7 @@ from .errors import (
     InvalidSpec,
     QuillenError,
 )
-from .group import DEFAULT_ELEMENT_CAP, TABLE_ORDER_CAP, Group
+from .group import DEFAULT_ELEMENT_CAP, TABLE_ORDER_CAP
 from .homology import HOMOLOGY_PROXY_CAVEAT, TorusComplex, reduced_homology
 from .report import VERSION, AnalysisReport, group_stats
 
@@ -179,19 +179,11 @@ def cmd_cm_check(args) -> int:
     return _group_command(args, "cm-check", run)
 
 
-def _decompose_sylow(G: Group, p: int) -> th.StructureReport:
-    P = gp.sylow_subgroup(G, p)
-    O = gp.omega1(P, p)
-    if p == 2:
-        return th.decompose_2group(O)
-    return th.classify_odd_p_group(O, p)
-
-
 def cmd_decompose(args) -> int:
     def run(G, p, timings):
         with _timer(timings, "decompose"):
             try:
-                rep = _decompose_sylow(G, p)
+                rep = th.omega1_structure(gp.sylow_subgroup(G, p), p)
             except DecompositionNotFound as e:
                 # a guaranteed decomposition that cannot be exhibited is
                 # a red-alert finding, not an input error
@@ -324,7 +316,7 @@ def _run_instance(inst: dict, max_order: Optional[int]) -> dict:
                 results[chk] = {"agrees": cm.cohen_macaulay,
                                 "verdict": cm.to_json()}
             elif chk == "decompose":
-                rep = _decompose_sylow(G, p)
+                rep = th.omega1_structure(gp.sylow_subgroup(G, p), p)
                 results[chk] = {"agrees": rep.all_checks_pass(),
                                 "structure": rep.to_json()}
             elif chk == "pw":

@@ -90,20 +90,18 @@ def cyclic(n: int, cap: int = DEFAULT_ELEMENT_CAP) -> Group:
                                     provenance="natural cycle action")
 
 
-def symmetric(n: int, cap: int = DEFAULT_ELEMENT_CAP) -> Group:
-    if n < 1:
-        raise InvalidSpec("symmetric degree must be >= 1")
-    if n == 1:
-        return cyclic(1)
-    gens = [tuple((i + 1) % n for i in range(n)),
-            tuple([1, 0] + list(range(2, n)))]
-    return gp.group_from_generators(n, gens, cap=cap, label=f"S{n}",
-                                    provenance="natural action")
+def _require_prime(p: int, kind: str) -> None:
+    # a prime above the largest group order divides no group built, and
+    # is refused before its slow primality test
+    if p > gp.TABLE_ORDER_CAP or not gp._is_prime(p):
+        raise InvalidSpec(f"{kind} needs a prime p at most "
+                          f"{gp.TABLE_ORDER_CAP}, got {p}")
 
 
 def elementary_abelian(p: int, r: int, cap: int = DEFAULT_ELEMENT_CAP) -> Group:
-    if r < 0 or p < 2:
-        raise InvalidSpec("elementary_abelian needs prime p and rank >= 0")
+    _require_prime(p, "elementary_abelian")
+    if r < 0:
+        raise InvalidSpec("elementary_abelian needs rank >= 0")
     if r == 0:
         return cyclic(1)
     degree = p * r
@@ -165,6 +163,7 @@ def extraspecial(p: int, n: int, variant: str,
     For odd p, ``variant`` is "exp_p" or "exp_p2"; for p = 2 it is "+"
     (central product of dihedrals) or "-" (one quaternion factor).
     """
+    _require_prime(p, "extraspecial")
     if n < 1:
         raise InvalidSpec("extraspecial needs n >= 1")
     if p == 2:
@@ -387,6 +386,8 @@ def build(spec: GroupSpec, cap: int = DEFAULT_ELEMENT_CAP) -> Group:
     """Deterministically build the group described by ``spec``.  A spec
     may carry a ``min_cap`` parameter raising the element cap for groups
     known to exceed the default (used by a few catalog entries)."""
+    if not isinstance(spec, GroupSpec):
+        raise InvalidSpec(f"bad spec object: {spec!r}")
     k, p = spec.kind, spec.params
     cap = max(cap, p.get("min_cap", 0))
     try:

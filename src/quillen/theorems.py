@@ -99,104 +99,59 @@ class TheoremVerdict:
 def _greedy_complement(ambient: Subgroup, W: Subgroup,
                        start: Subgroup) -> Subgroup:
     """Subgroup K between ``start`` and ``ambient`` with K·W = ambient and
-    K ∩ W = start ∩ W (W <= ambient), grown greedily from ``start``
-    through the members of ``ambient``.  Callers pass an elementary
-    abelian ambient/start, where subgroups correspond to subspaces."""
+    K ∩ W = start ∩ W (W <= ambient), grown greedily from ``start``: a
+    member a of ``ambient`` is taken when <K, a> meets W no more than K
+    does.  Callers pass a ``start`` that contains the derived subgroup of
+    ``ambient``, so every K is normal in ``ambient`` and <K, a> is the
+    product set of K and <a>, with no closure.  Raises
+    DecompositionNotFound if the pass ends short of ``ambient``."""
     G = ambient.parent
     k = len(start.member_set & W.member_set)
-    cur = set(start.members)
+    cur = frozenset(start.members)
     for a in ambient.members:
         if a in cur:
             continue
-        cand = G.closure(cur | {a})
+        cand = frozenset(gp._product_set(G, cur, gp._cyclic_ids(G, a)))
         if len(cand & W.member_set) == k:
-            cur = set(cand)
+            cur = cand
     if len(cur) * W.order != ambient.order * k:
         raise DecompositionNotFound("no greedy complement")
     return Subgroup(G, cur)
 
 
 def _central_split(D: Subgroup, p: int) -> Subgroup:
-    """For a nonabelian p-group D with |D'| = p and D/Z(D) elementary
-    abelian, exhibit an extraspecial E <= D with D = Z(D)E and
-    Z(D) ∩ E = D', by lifting a symplectic basis of the commutator form
-    on D/Z(D).  Raises DecompositionNotFound if lifting fails."""
-    G = D.parent
-    Z = gp.center(D)
+    """For a p-group D with |D'| = p and D' <= Z(D), an extraspecial
+    E <= D with E·Z(D) = D and E ∩ Z(D) = D': the greedy complement of
+    Z(D) in D grown from D'.  Raises DecompositionNotFound if none exists.
+
+    (i) Any K <= D with K ∩ Z(D) = D' and K·Z(D) = D is extraspecial:
+    Z(K) <= Z(K·Z(D)) = Z(D), so Z(K) = D'; K' = [K·Z(D), K·Z(D)] = D';
+    and for x, y in K, [x^p, y] = [x, y]^p = 1, so x^p lies in
+    K ∩ Z(D) = D'.
+    (ii) Every K >= D' is normal in D, and for a outside K·Z(D),
+    <K, a> ∩ Z(D) = D'<a^p>.  So growth from D' takes such an a exactly
+    when a^p lies in D', whatever K it has reached, and takes no a of
+    K·Z(D) outside K.  If some E exists, each
+    coset of Z(D) holds a member of E, whose p-th power lies in D'; so
+    one greedy pass never gets stuck."""
     Dp = gp.derived_subgroup(D)
+    Z = gp.center(D)
     if Dp.order != p or not Dp <= Z:
         raise DecompositionNotFound(f"derived subgroup not central of order {p}")
-    c = next(m for m in Dp.members if m != G.identity)
-    dlog = {}
-    x = G.identity
-    for e in range(p):
-        dlog[x] = e
-        x = G.mul(x, c)
-
-    def f(u, v):
-        return dlog[G.commutator(u, v)]
-
-    pairs = []
-
-    def reduce(u):
-        for (x_, y_) in pairs:
-            a = (-f(u, y_)) % p
-            b = f(u, x_) % p
-            u = G.mul(u, G.mul(G.power(x_, a), G.power(y_, b)))
-        return u
-
-    def fix_power(w):
-        """Multiply by a central element so w^p lands in D' (automatic
-        for exponent-p groups)."""
-        if G.power(w, p) in Dp.member_set:
-            return w
-        for z in Z.members:
-            wz = G.mul(w, z)
-            if G.power(wz, p) in Dp.member_set:
-                return wz
-        raise DecompositionNotFound("no lift with p-th power in derived")
-
-    for u in D.members:
-        ur = reduce(u)
-        if ur in Z.member_set:
-            continue
-        v2 = None
-        for v in D.members:
-            vr = reduce(v)
-            t = f(ur, vr)
-            if t:
-                v2 = G.power(vr, pow(t, -1, p))
-                break
-        if v2 is None:
-            raise DecompositionNotFound("degenerate commutator form")
-        pairs.append((fix_power(ur), fix_power(v2)))
-
-    E = gp.subgroup_generated(G, {c} | {w for pr in pairs for w in pr})
-    ok = (gp.is_extraspecial(E, p)
-          and E.member_set & Z.member_set == Dp.member_set
-          and E.order * Z.order // p == D.order
-          and G.closure(E.member_set | Z.member_set) == D.member_set)
-    if not ok:
-        raise DecompositionNotFound("symplectic lift is not extraspecial")
+    E = _greedy_complement(D, Z, Dp)
+    if not gp.is_extraspecial(E, p):
+        raise DecompositionNotFound("central complement is not extraspecial")
     return E
 
 
-# -- odd-p classification -----------------------------------------------
-
-def classify_odd_p_group(P, p: int) -> StructureReport:
-    """For an odd prime p and a p-group P = Omega1(P) with cyclic derived
-    subgroup: either P is elementary abelian, or |P'| = p and P splits as
-    (elementary abelian) x (extraspecial of exponent p), exhibited by an
-    explicit subgroup search."""
+def _structure_frame(P, p: int) -> tuple:
+    """P as a Subgroup, its derived subgroup, and the report fields that
+    every case shares, once P is checked to be a p-group with
+    Omega1(P) = P and cyclic derived subgroup."""
     P = gp._as_subgroup(P)
-    G = P.parent
-    if p > gp.TABLE_ORDER_CAP:  # no group built has an order divisible by p
-        raise HypothesisViolated("p odd prime", f"p={p} exceeds the largest "
-                                 f"group order {gp.TABLE_ORDER_CAP}")
-    if p == 2 or not gp._is_prime(p):
-        raise HypothesisViolated("p odd prime", f"p={p}")
     if not gp.is_p_group(P, p):
-        raise HypothesisViolated("P a p-group", f"order {P.order}")
+        raise HypothesisViolated("P a 2-group" if p == 2 else "P a p-group",
+                                 f"order {P.order}")
     if gp.omega1(P, p).member_set != P.member_set:
         raise HypothesisViolated("Omega1(P) = P")
     Pp = gp.derived_subgroup(P)
@@ -205,6 +160,23 @@ def classify_odd_p_group(P, p: int) -> StructureReport:
     Zo = gp.omega1(gp.center(P), p) if P.order > 1 else P
     base = dict(group=P, prime=p, omega1_equals_group=True,
                 derived_cyclic=True, derived_order=Pp.order, Z=Zo)
+    return P, Pp, base
+
+
+# -- odd-p classification -----------------------------------------------
+
+def classify_odd_p_group(P, p: int) -> StructureReport:
+    """For an odd prime p and a p-group P = Omega1(P) with cyclic derived
+    subgroup: either P is elementary abelian, or |P'| = p and P splits as
+    (elementary abelian) x (extraspecial of exponent p), both factors
+    greedy complements."""
+    if p > gp.TABLE_ORDER_CAP:  # no group built has an order divisible by p
+        raise HypothesisViolated("p odd prime", f"p={p} exceeds the largest "
+                                 f"group order {gp.TABLE_ORDER_CAP}")
+    if p == 2 or not gp._is_prime(p):
+        raise HypothesisViolated("p odd prime", f"p={p}")
+    P, Pp, base = _structure_frame(P, p)
+    G = P.parent
 
     if Pp.order == 1:
         checks = (("elementary abelian", gp.is_elementary_abelian(P, p)),)
@@ -259,12 +231,8 @@ def _candidate_T(P: Subgroup, Pp: Subgroup) -> list:
 
 def _split_D(D: Subgroup) -> Optional[Subgroup]:
     """E with D = Z(D)E, E extraspecial or trivial; None if impossible."""
-    G = D.parent
     if gp.is_abelian(D):
-        return G.trivial_subgroup()
-    Dp = gp.derived_subgroup(D)
-    if Dp.order != 2:
-        return None
+        return D.parent.trivial_subgroup()
     try:
         return _central_split(D, 2)
     except DecompositionNotFound:
@@ -277,18 +245,8 @@ def decompose_2group(P) -> StructureReport:
     |T∩D| <= 2, D = Z(D)E (E trivial or extraspecial), and
     Omega1(Z(P)) <= D.  Search follows the existence proof; all
     invariants are re-verified independently."""
-    P = gp._as_subgroup(P)
+    P, Pp, base = _structure_frame(P, 2)
     G = P.parent
-    if not gp.is_p_group(P, 2):
-        raise HypothesisViolated("P a 2-group", f"order {P.order}")
-    if gp.omega1(P, 2).member_set != P.member_set:
-        raise HypothesisViolated("Omega1(P) = P")
-    Pp = gp.derived_subgroup(P)
-    if not gp.is_cyclic(Pp):
-        raise HypothesisViolated("P' cyclic")
-    Zo = gp.omega1(gp.center(P), 2) if P.order > 1 else P
-    base = dict(group=P, prime=2, omega1_equals_group=True,
-                derived_cyclic=True, derived_order=Pp.order, Z=Zo)
 
     if Pp.order == 1:
         checks = (("elementary abelian", gp.is_elementary_abelian(P, 2)),)
@@ -296,27 +254,17 @@ def decompose_2group(P) -> StructureReport:
                                T=G.trivial_subgroup(), D=P, checks=checks,
                                **base)
 
-    if Pp.order == 2:
-        # T = 1, D = P: the |P'| = 2 small case
-        E = _split_D(P)
-        if E is None:
-            raise DecompositionNotFound("D = Z(D)E split failed for |P'|=2")
-        T = G.trivial_subgroup()
-        checks = _td_checks(P, T, P, E, Zo)
-        if not all(ok for _, ok in checks):
-            raise DecompositionNotFound("small-case invariants failed")
-        return StructureReport(case="two_group_TD", T=T, T_type="trivial",
-                               D=P, E=E, checks=checks, **base)
-
     # any valid D is C_P(T): Z(T) is the order-2 subgroup of the cyclic
     # P', hence central and inside D, so |D| = 2|P|/|T|; D <= C_P(T), and
-    # T ∩ C_P(T) = Z(T) bounds |C_P(T)| by the same number
-    for T, ttype in _candidate_T(P, Pp):
+    # T ∩ C_P(T) = Z(T) bounds |C_P(T)| by the same number.  T = 1 (so
+    # D = P) splits exactly when |P'| = 2, and then P' is central and no
+    # other candidate exists
+    for T, ttype in [(G.trivial_subgroup(), "trivial")] + _candidate_T(P, Pp):
         D = gp.centralizer(P, T)
         E = _split_D(D)
         if E is None:
             continue
-        checks = _td_checks(P, T, D, E, Zo)
+        checks = _td_checks(P, T, D, E, base["Z"])
         if all(ok for _, ok in checks):
             return StructureReport(case="two_group_TD", T=T, T_type=ttype,
                                    D=D, E=E, checks=checks, **base)
@@ -344,6 +292,15 @@ def _td_checks(P, T, D, E, Zo) -> tuple:
          frozenset(gp._product_set(G, gp.center(D).members, E.members))
          == D.member_set),
     )
+
+
+def omega1_structure(P, p: int) -> StructureReport:
+    """The structure report of Omega1(P) for a p-group P: its TD
+    decomposition at p = 2, its odd-p classification otherwise."""
+    O = gp.omega1(P, p)
+    if p == 2:
+        return decompose_2group(O)
+    return classify_odd_p_group(O, p)
 
 
 # -- upper-interval predictions -----------------------------------------
@@ -383,6 +340,7 @@ def upper_interval_check(P, p: int, X) -> TheoremVerdict:
 
     O = gp.omega1(P, p)
     Z = gp.center(P)
+    reduction = None
 
     if gp.is_extraspecial(P, p) and Z <= X:
         # orthogonal-complement reduction: the interval above X is
@@ -391,20 +349,10 @@ def upper_interval_check(P, p: int, X) -> TheoremVerdict:
         rk2 = gp.rank(P2, p)
         r = rk2 - 2
         I2 = ps.upper_interval(ps.quillen_poset(P2, p), Z)
-        prof2 = reduced_homology(ps.order_complex(I2))
-        v = sphericity(prof, r)
-        iso_ok = len(I2) == len(I) and prof2 == prof
-        agrees = v.homology_spherical and iso_ok
-        computed["reduction_nodes"] = len(I2)
-        computed["reduction_profile"] = prof2.to_json()
-        return TheoremVerdict(
-            "interval-extraspecial", f"{r}-spherical (rank {rk2} complement)",
-            computed, agrees,
-            notes=(f"|P2| = {P2.order}",
-                   f"poset-isomorphism side check: {iso_ok}"),
-            profile=prof)
-
-    if (p == 2 and gp.is_cyclic(Z) and Z.order >= 4
+        reduction = ("interval-extraspecial",
+                     f"{r}-spherical (rank {rk2} complement)",
+                     (f"|P2| = {P2.order}",), "poset-isomorphism side check")
+    elif (p == 2 and gp.is_cyclic(Z) and Z.order >= 4
             and X.member_set == gp.omega1(Z, 2).member_set
             and O.member_set == P.member_set):
         try:
@@ -420,48 +368,44 @@ def upper_interval_check(P, p: int, X) -> TheoremVerdict:
             # so the prediction does not depend on which D is found
             n = (D.order.bit_length() - 2) // 2  # |D| = 2^(2n+1)
             r = n - 1
-            AbD = ps.ab_poset(D)
-            I2 = ps.upper_interval(AbD, X)
-            prof2 = reduced_homology(ps.order_complex(I2))
-            v = sphericity(prof, r)
-            iso_ok = len(I2) == len(I) and prof2 == prof
-            agrees = v.homology_spherical and iso_ok
-            computed["reduction_nodes"] = len(I2)
-            computed["reduction_profile"] = prof2.to_json()
-            return TheoremVerdict(
-                "interval-cyclic-central-product",
-                f"{r}-spherical (abelian-poset reduction, |D| = {D.order})",
-                computed, agrees,
-                notes=(f"Ab(D)-interval side check: {iso_ok}",),
-                profile=prof)
+            I2 = ps.upper_interval(ps.ab_poset(D), X)
+            reduction = ("interval-cyclic-central-product",
+                         f"{r}-spherical (abelian-poset reduction, "
+                         f"|D| = {D.order})", (), "Ab(D)-interval side check")
+
+    if reduction is not None:
+        claim, predicted, notes, side = reduction
+        prof2 = reduced_homology(ps.order_complex(I2))
+        iso_ok = len(I2) == len(I) and prof2 == prof
+        agrees = sphericity(prof, r).homology_spherical and iso_ok
+        computed["reduction_nodes"] = len(I2)
+        computed["reduction_profile"] = prof2.to_json()
+        return TheoremVerdict(claim, predicted, computed, agrees,
+                              notes=notes + (f"{side}: {iso_ok}",),
+                              profile=prof)
 
     ZO = gp.omega1(gp.center(O), p)
     Op = gp.derived_subgroup(O)
     if (X.member_set == ZO.member_set and gp.is_cyclic(Op)
             and Op.order > 1):
-        rkO = gp.rank(O, p)
-        if p > 2 or Op.order == 2:
-            r = rkO - rkX - 1
-            v = sphericity(prof, r)
-            return TheoremVerdict(
-                "interval-omega-center", f"{r}-spherical",
-                computed, v.homology_spherical, profile=prof)
-        rep = decompose_2group(O)
-        if rep.T_type in ("trivial", "dihedral"):
-            r = rkO - rkX - 1
-            v = sphericity(prof, r)
-            return TheoremVerdict(
-                "interval-omega-center", f"{r}-spherical (T {rep.T_type})",
-                computed, v.homology_spherical, profile=prof,
-                structure=rep)
-        # semidihedral T: no sphericity prediction is made for the
-        # interval; the global claim concerns the full complex of a
-        # group without a nontrivial normal p-subgroup
+        rep = None
+        if p == 2 and Op.order > 2:
+            rep = decompose_2group(O)
+            if rep.T_type == "semidihedral":
+                # no sphericity prediction is made for the interval; the
+                # global claim concerns the full complex of a group
+                # without a nontrivial normal p-subgroup
+                return TheoremVerdict(
+                    "interval-semidihedral",
+                    "none (T semidihedral: no interval prediction)",
+                    computed, None,
+                    notes=("interval profile reported without verdict",),
+                    profile=prof, structure=rep)
+        r = gp.rank(O, p) - rkX - 1
         return TheoremVerdict(
-            "interval-semidihedral",
-            "none (T semidihedral: no interval prediction)",
-            computed, None,
-            notes=("interval profile reported without verdict",),
+            "interval-omega-center",
+            f"{r}-spherical" + (f" (T {rep.T_type})" if rep else ""),
+            computed, sphericity(prof, r).homology_spherical,
             profile=prof, structure=rep)
 
     return TheoremVerdict("no-applicable-prediction", "none",
@@ -596,13 +540,8 @@ def main_theorem_check(T: TorusComplex) -> TheoremVerdict:
     P = gp.sylow_subgroup(G, p)
     if not gp.is_cyclic(gp.derived_subgroup(P)):
         raise HypothesisViolated("P' cyclic")
-    O = gp.omega1(P, p)
-    if p == 2:
-        rep = decompose_2group(O)
-        semidihedral = rep.T_type == "semidihedral"
-    else:
-        rep = classify_odd_p_group(O, p)
-        semidihedral = False
+    rep = omega1_structure(P, p)
+    semidihedral = rep.T_type == "semidihedral"
 
     cm = None if semidihedral else T.cohen_macaulay
     prof = T.profile

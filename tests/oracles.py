@@ -9,8 +9,10 @@ Heisenberg and semidirect product multiplications among them), quotient
 groups with their projection, and the wedge formula's right-hand side
 over a quotient group, assembled as an explicit wedge of joins; every
 subgroup by exhaustive search, the enumerators' oracle, and the elements
-of a given order; and the Smith normal form's old Euclidean engine, with
-its divisibility chain by prime factorization."""
+of a given order; the Smith normal form's old Euclidean engine, with
+its divisibility chain by prime factorization; and the structure
+splits' old engines: the greedy complement grown by subgroup closure,
+and the extraspecial E lifted from a symplectic basis of D/Z(D)."""
 
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -19,6 +21,7 @@ from quillen import group as gp
 from quillen import poset as ps
 from quillen.errors import (
     ActionNotHomomorphism,
+    DecompositionNotFound,
     GroupTooLarge,
     HypothesisViolated,
     InvalidPermutation,
@@ -465,3 +468,90 @@ def verify_pulkus_welker_by_quotient(G: Group, p: int) -> TheoremVerdict:
                 "N_order": N.order, "summands": len(pieces)}
     return TheoremVerdict("wedge-formula", "profiles equal exactly",
                           computed, lhs == rhs, profile=lhs)
+
+
+# -- the old structure splits -------------------------------------------
+
+def greedy_complement_by_closure(ambient: Subgroup, W: Subgroup,
+                                 start: Subgroup) -> Subgroup:
+    """Subgroup K between ``start`` and ``ambient`` with K·W = ambient and
+    K ∩ W = start ∩ W (W <= ambient), grown greedily from ``start``
+    through the members of ``ambient``.  Callers pass an elementary
+    abelian ambient/start, where subgroups correspond to subspaces."""
+    G = ambient.parent
+    k = len(start.member_set & W.member_set)
+    cur = set(start.members)
+    for a in ambient.members:
+        if a in cur:
+            continue
+        cand = G.closure(cur | {a})
+        if len(cand & W.member_set) == k:
+            cur = set(cand)
+    if len(cur) * W.order != ambient.order * k:
+        raise DecompositionNotFound("no greedy complement")
+    return Subgroup(G, cur)
+
+
+def central_split_by_symplectic_lift(D: Subgroup, p: int) -> Subgroup:
+    """For a nonabelian p-group D with |D'| = p and D/Z(D) elementary
+    abelian, exhibit an extraspecial E <= D with D = Z(D)E and
+    Z(D) ∩ E = D', by lifting a symplectic basis of the commutator form
+    on D/Z(D).  Raises DecompositionNotFound if lifting fails."""
+    G = D.parent
+    Z = gp.center(D)
+    Dp = gp.derived_subgroup(D)
+    if Dp.order != p or not Dp <= Z:
+        raise DecompositionNotFound(f"derived subgroup not central of order {p}")
+    c = next(m for m in Dp.members if m != G.identity)
+    dlog = {}
+    x = G.identity
+    for e in range(p):
+        dlog[x] = e
+        x = G.mul(x, c)
+
+    def f(u, v):
+        return dlog[G.commutator(u, v)]
+
+    pairs = []
+
+    def reduce(u):
+        for (x_, y_) in pairs:
+            a = (-f(u, y_)) % p
+            b = f(u, x_) % p
+            u = G.mul(u, G.mul(G.power(x_, a), G.power(y_, b)))
+        return u
+
+    def fix_power(w):
+        """Multiply by a central element so w^p lands in D' (automatic
+        for exponent-p groups)."""
+        if G.power(w, p) in Dp.member_set:
+            return w
+        for z in Z.members:
+            wz = G.mul(w, z)
+            if G.power(wz, p) in Dp.member_set:
+                return wz
+        raise DecompositionNotFound("no lift with p-th power in derived")
+
+    for u in D.members:
+        ur = reduce(u)
+        if ur in Z.member_set:
+            continue
+        v2 = None
+        for v in D.members:
+            vr = reduce(v)
+            t = f(ur, vr)
+            if t:
+                v2 = G.power(vr, pow(t, -1, p))
+                break
+        if v2 is None:
+            raise DecompositionNotFound("degenerate commutator form")
+        pairs.append((fix_power(ur), fix_power(v2)))
+
+    E = gp.subgroup_generated(G, {c} | {w for pr in pairs for w in pr})
+    ok = (gp.is_extraspecial(E, p)
+          and E.member_set & Z.member_set == Dp.member_set
+          and E.order * Z.order // p == D.order
+          and G.closure(E.member_set | Z.member_set) == D.member_set)
+    if not ok:
+        raise DecompositionNotFound("symplectic lift is not extraspecial")
+    return E

@@ -181,17 +181,38 @@ def _named(name):
         "action": [[0, 0, 0]]}},
      "ActionNotHomomorphism"),
     ({"kind": "cyclic", "params": {"order": "x"}}, "InvalidSpec"),
-    ({"kind": "dihedral", "params": {"order": [8]}}, "InvalidSpec")],
+    ({"kind": "dihedral", "params": {"order": [8]}}, "InvalidSpec"),
+    ({"kind": "elementary_abelian", "params": {"prime": 6, "rank": 1}},
+     "InvalidSpec"),
+    ({"kind": "extraspecial", "params": {"prime": 4, "n": 1,
+                                         "variant": "exp_p"}},
+     "InvalidSpec"),
+    ({"kind": "extraspecial", "params": {"prime": 9, "n": 1,
+                                         "variant": "exp_p2"}},
+     "InvalidSpec"),
+    ({"kind": "extraspecial", "params": {"prime": 1, "n": 1,
+                                         "variant": "exp_p"}},
+     "InvalidSpec"),
+    ({"kind": "direct_product", "params": {"factors": [5]}}, "InvalidSpec"),
+    ({"kind": "direct_product", "params": {"factors": "ab"}}, "InvalidSpec"),
+    ({"kind": "central_product", "params": {
+        "a": 3, "b": _named("D8"), "order": 2}}, "InvalidSpec")],
     ids=["perm-not-bijective", "pairs-not-central", "action-not-bijective",
-         "order-a-string", "order-a-list"])
+         "order-a-string", "order-a-list", "elementary-abelian-prime-6",
+         "extraspecial-prime-4", "extraspecial-prime-9",
+         "extraspecial-prime-1", "factor-a-number", "factors-a-string",
+         "central-factor-a-number"])
 def test_library_errors_are_typed_input_errors(spec, error, tmp_path,
                                                capsys):
-    """Every QuillenError from building a spec, an ill-typed parameter
-    included, is exit 1 with one error line."""
+    """Every QuillenError from building a spec, an ill-typed parameter,
+    a non-prime p and a sub-spec that is not an object included, is exit
+    1 with one error line."""
     path = tmp_path / "spec.json"
     path.write_text(json.dumps(spec))
     assert cli.main(["quillen", str(path), "--prime", "2"]) == 1
-    assert capsys.readouterr().err.startswith(f"error: {error}: ")
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {error}: ")
+    assert err.count("\n") == 1
 
 
 def test_escaped_decomposition_failure_is_a_red_alert(monkeypatch, capsys):

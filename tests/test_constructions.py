@@ -29,11 +29,6 @@ def test_cyclic():
         cs.cyclic(0)
 
 
-def test_symmetric():
-    assert cs.symmetric(4).order == 24
-    assert not gp.is_abelian(cs.symmetric(3))
-
-
 def test_elementary_abelian():
     G = cs.elementary_abelian(3, 2)
     assert G.order == 9 and gp.is_elementary_abelian(G, 3)

@@ -17,6 +17,7 @@ from quillen.errors import (DecompositionNotFound, HypothesisViolated,
 from quillen.homology import TorusComplex
 
 import oracles
+from test_structures import EXTRA_SPECS
 
 
 def G_of(name):
@@ -261,6 +262,105 @@ def test_interval_central_split_matches_search(spec, monkeypatch):
     slow = th.upper_interval_check(G.full(), 2, X).to_json()
     assert fast["claim"] == "interval-cyclic-central-product"
     assert json.dumps(fast, sort_keys=True) == json.dumps(slow, sort_keys=True)
+
+
+def _group(name):
+    if name in EXTRA_SPECS:
+        return cs.build(cs.GroupSpec.from_json(EXTRA_SPECS[name]))
+    return G_of(name)
+
+
+def _central_ds(name, p):
+    """Every subgroup D of the p-group ``name`` with |D'| = p central."""
+    G = _group(name)
+    for m in gp.all_p_subgroups(G, p):
+        D = gp.Subgroup(G, m)
+        Dp = gp.derived_subgroup(D)
+        if Dp.order == p and Dp <= gp.center(D):
+            yield D
+
+
+def _checked_split(split, D, p):
+    """``split(D, p)`` checked to be an extraspecial E with E·Z(D) = D
+    and E ∩ Z(D) = D', or None if it refuses D."""
+    try:
+        E = split(D, p)
+    except DecompositionNotFound:
+        return None
+    Z = gp.center(D)
+    assert gp.is_extraspecial(E, p)
+    assert E.order == D.order * p // Z.order
+    assert E.member_set & Z.member_set == gp.derived_subgroup(D).member_set
+    assert frozenset(gp._product_set(D.parent, E.members, Z.members)) \
+        == D.member_set
+    return E
+
+
+SPLIT_GROUPS = [("D8oD8", 2), ("D8oQ8", 2), ("D8oC4", 2), ("ES27+xC3", 3),
+                ("SD16oC4", 2), ("D8oD8oC4", 2), ("Q8oC4", 2), ("D8xD8", 2)]
+
+
+@pytest.mark.parametrize("name,p", SPLIT_GROUPS
+                         + [("ES(3,2,exp_p)xC3", 3)])
+def test_central_split_matches_symplectic_lift(name, p):
+    """The greedy complement over D' and the old symplectic lift both
+    refuse D, or both split it; only ten order-16 subgroups of D8xD8
+    have no split."""
+    Ds = ([_group(name).full()] if name == "ES(3,2,exp_p)xC3"
+          else list(_central_ds(name, p)))
+    refused = []
+    for D in Ds:
+        E = _checked_split(th._central_split, D, p)
+        old = _checked_split(oracles.central_split_by_symplectic_lift, D, p)
+        assert (E is None) == (old is None)
+        if E is None:
+            refused.append(D.order)
+    assert refused == ([16] * 10 if name == "D8xD8" else [])
+
+
+def _greedy_calls(kind):
+    """The (ambient, W, start) arguments of each kind of greedy call."""
+    if kind == "A":  # Z(P) over P', from 1, in the odd splits
+        for name in ("ES27+xC3", "ES27+xC3^2", "ES(3,2,exp_p)xC3"):
+            P = _group(name).full()
+            yield (gp.center(P), gp.derived_subgroup(P),
+                   P.parent.trivial_subgroup())
+    elif kind == "P2":  # C_P(X) over X, from Z(P), for extraspecial P
+        for name, p in (("D8oD8", 2), ("ES(2,3,-)", 2), ("ES27+", 3)):
+            P = _group(name).full()
+            Z = gp.center(P)
+            for X in ps.quillen_poset(P, p).nodes:
+                if Z <= X:
+                    yield gp.centralizer(P, X), X, Z
+    else:  # D over Z(D), from D'
+        for name, p in SPLIT_GROUPS:
+            for D in _central_ds(name, p):
+                yield D, gp.center(D), gp.derived_subgroup(D)
+
+
+@pytest.mark.parametrize("kind", ["A", "P2", "E"])
+def test_greedy_complement_matches_closure_steps(kind):
+    """Growing by product sets gives the complement that growing by
+    subgroup closure gives, refusals included."""
+    def outcome(grow, args):
+        try:
+            return grow(*args).member_set
+        except DecompositionNotFound:
+            return None
+    calls = list(_greedy_calls(kind))
+    assert calls
+    for args in calls:
+        assert outcome(th._greedy_complement, args) == \
+            outcome(oracles.greedy_complement_by_closure, args)
+
+
+def test_central_split_of_order_729_is_fast():
+    """Growing by closure takes about 19 s on ES(3,2,exp_p)xC3."""
+    P = _group("ES(3,2,exp_p)xC3").full()
+    t0 = time.perf_counter()
+    E = th._central_split(P, 3)
+    assert time.perf_counter() - t0 < 2
+    assert E.order == 243
 
 
 def test_interval_cyclic_central_product_rank_two():
