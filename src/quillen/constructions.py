@@ -82,6 +82,7 @@ def _params_from_json(kind, params):
 def cyclic(n: int, cap: int = DEFAULT_ELEMENT_CAP) -> Group:
     if n < 1:
         raise InvalidSpec("cyclic order must be >= 1")
+    _check_order(n, cap)
     if n == 1:
         return gp.group_from_generators(1, [], label="C1",
                                         provenance="trivial action")
@@ -102,6 +103,7 @@ def elementary_abelian(p: int, r: int, cap: int = DEFAULT_ELEMENT_CAP) -> Group:
     _require_prime(p, "elementary_abelian")
     if r < 0:
         raise InvalidSpec("elementary_abelian needs rank >= 0")
+    _check_order(p, cap, r)
     if r == 0:
         return cyclic(1)
     degree = p * r
@@ -119,6 +121,7 @@ def elementary_abelian(p: int, r: int, cap: int = DEFAULT_ELEMENT_CAP) -> Group:
 def dihedral(order: int, cap: int = DEFAULT_ELEMENT_CAP) -> Group:
     if order < 4 or order % 2:
         raise InvalidSpec("dihedral order must be an even number >= 4")
+    _check_order(order, cap)
     m = order // 2
     if m == 2:
         G = elementary_abelian(2, 2, cap)
@@ -135,6 +138,7 @@ def semidihedral(order: int, cap: int = DEFAULT_ELEMENT_CAP) -> Group:
     n = order.bit_length() - 1
     if order != 2 ** n or n < 4:
         raise InvalidSpec("semidihedral order must be 2^n with n >= 4")
+    _check_order(order, cap)
     m = order // 2
     t = m // 2 - 1  # x^z = x^(2^(n-2) - 1)
     rot = tuple((i + 1) % m for i in range(m))
@@ -166,6 +170,7 @@ def extraspecial(p: int, n: int, variant: str,
     _require_prime(p, "extraspecial")
     if n < 1:
         raise InvalidSpec("extraspecial needs n >= 1")
+    _check_order(p, cap, 2 * n + 1)
     if p == 2:
         if variant not in ("+", "-"):
             raise InvalidSpec("p=2 extraspecial variant must be '+' or '-'")
@@ -202,6 +207,7 @@ def _heisenberg(p: int, cap: int) -> Group:
 
 def _modular_p3(p: int, cap: int) -> Group:
     # p^(1+2) of exponent p^2: <x of order p^2, y | x^y = x^(1+p)>
+    _check_order(p, cap, 3)
     m = p * p
     rot = tuple((i + 1) % m for i in range(m))
     twist = tuple(((1 + p) * i) % m for i in range(m))
@@ -210,15 +216,25 @@ def _modular_p3(p: int, cap: int) -> Group:
                                     provenance="affine action on Z/p^2")
 
 
+def _check_order(base: int, cap: int, exp: int = 1) -> None:
+    """Refuse the group order base^exp past min(cap, TABLE_ORDER_CAP),
+    before any permutation is written.  The base of a power is a prime,
+    so an exponent past the bound's bit length is refused without
+    raising the base to it."""
+    cap = min(cap, gp.TABLE_ORDER_CAP)
+    if exp > max(1, cap.bit_length()):
+        raise gp.GroupTooLarge(f"group order {base}^{exp} exceeds cap {cap}")
+    if base ** exp > cap:
+        raise gp.GroupTooLarge(f"group order {base ** exp} exceeds cap {cap}")
+
+
 def _regular_representation(order: int, cap: int, label: str):
     """Check ``order`` against the cap, before any permutation is
     written, and return the enumerator of the regular representation: it
     takes the left translations x -> g*x of the generators, as
     permutations of the ``order`` element positions, and raises
     GroupTooLarge if they generate more than ``order`` elements."""
-    cap = min(cap, gp.TABLE_ORDER_CAP)
-    if order > cap:
-        raise gp.GroupTooLarge(f"group order {order} exceeds cap {cap}")
+    _check_order(order, cap)
     return functools.partial(gp.group_from_generators, order, cap=order,
                              provenance="regular representation", label=label)
 

@@ -17,7 +17,6 @@ are immutable member-id sets inside a parent group.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
@@ -317,11 +316,8 @@ def derived_subgroup(S) -> Subgroup:
 
 def centralizer(S, X) -> Subgroup:
     S, X = _as_subgroup(S), _as_subgroup(X)
-    G = S.parent
     gens = X.generator_witness or X.members
-    t = G.table
-    members = [s for s in S.members if all(t[s, x] == t[x, s] for x in gens)]
-    return Subgroup(G, members)
+    return Subgroup(S.parent, _commuting(S.parent, gens, S.members))
 
 
 def center(S) -> Subgroup:
@@ -358,14 +354,34 @@ def is_normal(S: Subgroup, in_: Optional[Subgroup] = None) -> bool:
     G = S.parent
     amb = in_.generator_witness if in_ is not None else G.generators
     gens = S.generator_witness or S.members
-    return all(G.conj(x, g) in S.member_set for g in amb for x in gens)
+    return len(_normalizing(G, S.member_set, gens, amb)) == len(amb)
 
 
 def is_abelian(S) -> bool:
     S = _as_subgroup(S)
-    t = S.parent.table
-    m = S.members
-    return all(t[a, b] == t[b, a] for a, b in itertools.combinations(m, 2))
+    gens = S.generator_witness or S.members
+    return len(_commuting(S.parent, gens, gens)) == len(gens)
+
+
+def _commuting(G: Group, gens: Sequence[int], cand) -> list:
+    """The ids in ``cand`` that commute with every id in ``gens``, and so
+    with the subgroup that the ``gens`` generate."""
+    import numpy as np
+    c, t = np.asarray(cand, dtype=np.intp), G.table
+    for x in gens:
+        c = c[t[c, x] == t[x, c]]
+    return c.tolist()
+
+
+def _normalizing(G: Group, H: Iterable[int], gens: Sequence[int], cand) -> list:
+    """The ids in ``cand`` that conjugate every id in ``gens`` into the
+    member ids H, and so normalize H when the ``gens`` generate it."""
+    import numpy as np
+    c, t = np.asarray(cand, dtype=np.intp), G.table
+    inside = np.bincount(list(H), minlength=G.order) > 0  # the members of H
+    for x in gens:
+        c = c[inside[t[t[G.inverse[c], x], c]]]  # c^-1 x c in H
+    return c.tolist()
 
 
 def is_cyclic(S) -> bool:
@@ -401,13 +417,17 @@ def omega1(P, p: int) -> Subgroup:
 
 def sylow_subgroup(G: Group, p: int) -> Subgroup:
     """Deterministic Sylow p-subgroup: from 1, step H -> H<g> with the
-    least g that passes ``_extends_p``.  Such a g exists until H is
-    Sylow, since p then divides |N_G(H) : H|."""
-    n, gens = _p_prime_part(G.order, p), ()
-    H = frozenset([G.identity])
+    least g outside H that normalizes H with g^p in H, masking only the
+    ids whose p-th power lies in H.  Such a g exists until H is Sylow,
+    since p then divides |N_G(H) : H|."""
+    import numpy as np
+    n, gens, t = _p_prime_part(G.order, p), (), G.table
+    H, pth, sq = frozenset([G.identity]), G.identity, np.arange(G.order)
+    for bit in bin(p)[:1:-1]:  # pth[x] = x^p, by square-and-multiply on all ids
+        pth, sq = (t[pth, sq] if bit == "1" else pth), t[sq, sq]
     while len(H) * n < G.order:
-        g = next(g for g in range(G.order)
-                 if g not in H and _extends_p(G, p, H, g))
+        inside = np.bincount(list(H), minlength=G.order) > 0
+        g = _normalizing(G, H, gens, np.flatnonzero(inside[pth] > inside))[0]
         H = frozenset(_product_set(G, H, _cyclic_ids(G, g)))
         gens = tuple(sorted(gens + (g,)))
     return Subgroup(G, H, gens)
@@ -421,13 +441,6 @@ def _p_prime_part(n: int, p: int) -> int:
 
 def _is_p_power(n: int, p: int) -> bool:
     return _p_prime_part(n, p) == 1
-
-
-def _extends_p(G: Group, p: int, H: frozenset, g: int) -> bool:
-    """Whether g, a p-element outside the p-subgroup H, normalizes H
-    with g^p in H, so that H<g> is a p-subgroup of order p|H|."""
-    return (_is_p_power(G.element_order(g), p) and G.power(g, p) in H
-            and all(G.conj(x, g) in H for x in H))
 
 
 def o_p(G: Group, p: int, N: Optional[Subgroup] = None) -> Subgroup:
@@ -553,13 +566,12 @@ def p_length(G: Group, p: int) -> PSeriesReport:
 
 def elementary_abelian_subgroups(S, p: int) -> list:
     """All nontrivial elementary abelian p-subgroups of the Group or
-    Subgroup S (as member frozensets), grown from the subgroups of order
-    p by centralizing order-p elements."""
+    Subgroup S (as member frozensets), grown from 1 by centralizing
+    order-p elements."""
     S = _as_subgroup(S)
     G = S.parent
-    amb = _ambient(S, lambda o: o == p)
-    seeds = (G.closure([x]) for x in sorted(amb) if x != G.identity)
-    return _grow(G, amb, seeds, lambda H, g: _centralizes(G, g, H))
+    return _grow(G, _ambient(S, lambda o: o == p), frozenset([G.identity]),
+                 (), lambda H, gens, cand: _commuting(G, gens, cand))[1:]
 
 
 def _ambient(S: Subgroup, keep) -> frozenset:
@@ -569,32 +581,25 @@ def _ambient(S: Subgroup, keep) -> frozenset:
                      if x == G.identity or keep(G.element_order(x)))
 
 
-def _centralizes(G: Group, g: int, H: frozenset) -> bool:
-    t = G.table
-    return all(t[g, x] == t[x, g] for x in H)
-
-
-def _grow(G: Group, amb: frozenset, seeds: Iterable[frozenset],
-          extends) -> list:
-    """Every subgroup reached from ``seeds`` by steps H -> H<g> with g in
-    ``amb`` outside H and ``extends(H, g)``, kept when inside ``amb``.
-    The predicate must make g normalize H, so H<g> is the product set of
-    H and <g>.  Sorted by (order, members)."""
-    found = dict.fromkeys(seeds)
-    cur = list(found)
-    ambl = sorted(amb)
-    cyclic = {g: _cyclic_ids(G, g) for g in ambl}
-    while cur:
-        nxt = {}
-        for H in cur:
-            for g in ambl:
-                if g in H or not extends(H, g):
-                    continue
-                K = frozenset(_product_set(G, H, cyclic[g]))
-                if K <= amb and K not in found and K not in nxt:
-                    nxt[K] = None
-        found.update(nxt)
-        cur = list(nxt)
+def _grow(G: Group, amb: frozenset, start: frozenset, gens: tuple,
+          steps) -> list:
+    """Every subgroup reached from ``start``, generated by ``gens``, by
+    steps H -> H<g>, one per coset Hg, for the g outside H that
+    ``steps(H, gens of H, ids of amb)`` passes: g normalizes H and keeps
+    H<g> = H·<g> in ``amb``.  Sorted by (order, members)."""
+    import numpy as np
+    found, queue = {start: gens}, [start]
+    ids = np.array(sorted(amb), dtype=np.intp)
+    for H in queue:
+        hs, done = sorted(H), set(H)
+        for g in steps(H, found[H], ids):
+            if g in done:
+                continue
+            done.update(_product_set(G, hs, (g,)))
+            K = frozenset(_product_set(G, hs, _cyclic_ids(G, g)))
+            if K not in found:
+                found[K] = found[H] + (g,)
+                queue.append(K)
     return sorted(found, key=lambda s: (len(s), tuple(sorted(s))))
 
 
@@ -629,10 +634,9 @@ def rank(P, p: int) -> int:
         raise NotAPGroup("rank requires a p-group")
     if P.order == 1:
         return 0
-    G = P.parent
-    tori = _grow(G, _ambient(P, lambda o: o == p),
-                 [omega1(center(P), p).member_set],
-                 lambda H, g: _centralizes(G, g, H))
+    G, Z = P.parent, omega1(center(P), p)
+    tori = _grow(G, _ambient(P, lambda o: o == p), Z.member_set, Z.generator_witness,
+                 lambda H, gens, cand: _commuting(G, gens, cand))
     return _p_rank(len(tori[-1]), p)
 
 
@@ -695,16 +699,14 @@ def _dihedral_like(S, twist) -> bool:
 
 def all_p_subgroups(S, p: int) -> list:
     """All nontrivial p-subgroups of the Group or Subgroup S (as member
-    frozensets), by index-p extension from the subgroups of order p.  A
-    p-subgroup of order p^(k+1) has a normal subgroup H of index p, and
-    every g of it outside H normalizes H with g^p in H; such a g makes
-    H<g> of order p|H|."""
+    frozensets), grown from 1 by normalizing p-elements g, so H<g> =
+    H·<g> is a p-group.  Every K is reached: it has a normal H of index
+    p, and K = H<g> for every g of K outside H."""
     S = _as_subgroup(S)
     G = S.parent
-    amb = _ambient(S, lambda o: _is_p_power(o, p))
-    seeds = (G.closure([x]) for x in sorted(amb)
-             if G.element_order(x) == p)
-    return _grow(G, amb, seeds, lambda H, g: _extends_p(G, p, H, g))
+    return _grow(G, _ambient(S, lambda o: _is_p_power(o, p)),
+                 frozenset([G.identity]), (),
+                 lambda H, gens, cand: _normalizing(G, H, gens, cand))[1:]
 
 
 def abelian_subgroups(S) -> list:
@@ -712,5 +714,5 @@ def abelian_subgroups(S) -> list:
     trivial one), by extension over centralizing elements."""
     S = _as_subgroup(S)
     G = S.parent
-    return _grow(G, S.member_set, [frozenset([G.identity])],
-                 lambda H, g: _centralizes(G, g, H))
+    return _grow(G, S.member_set, frozenset([G.identity]), (),
+                 lambda H, gens, cand: _commuting(G, gens, cand))

@@ -502,10 +502,8 @@ def p_length_bound_check(G: Group, p: int) -> TheoremVerdict:
     H = gp.o_p_prime(G, p)
     if ell == 2 and H.order == 1 and p < 5:
         N = gp.o_p(G, p)
-        # the least g outside N_G(P)
-        g = next(x for x in range(G.order)
-                 if any(G.conj(y, x) not in P.member_set
-                        for y in P.generator_witness))
+        g = min(set(range(G.order)) - set(gp._normalizing(  # least g outside N_G(P)
+            G, P.member_set, P.generator_witness, range(G.order))))
         Pg = gp.conjugate_subgroup(P, g)
         S = gp.subgroup_generated(G, set(P.generator_witness)
                                   | set(Pg.generator_witness))

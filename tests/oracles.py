@@ -3,11 +3,14 @@ Hasse diagram, facets and the reduced Euler characteristic, each by the
 direct definition; the join and the one-point wedge as explicit
 complexes, the oracle for `join_homology` and `wedge_homology`;
 normalizers, the list of Sylow subgroups and the rank read off every
-torus; and the group builders that the permutation-generator path
-replaced: groups from a full multiplication table (the quaternion,
-Heisenberg and semidirect product multiplications among them), quotient
-groups with their projection, and the wedge formula's right-hand side
-over a quotient group, assembled as an explicit wedge of joins; every
+torus; the subgroup enumerators' old engine, which asks a member
+predicate (g centralizes H, or g extends the p-subgroup H) once per
+subgroup and candidate, with the Sylow scan built on it; and the group
+builders that the permutation-generator path replaced: groups from a
+full multiplication table (the quaternion, Heisenberg and semidirect
+product multiplications among them), quotient groups with their
+projection, and the wedge formula's right-hand side over a quotient
+group, assembled as an explicit wedge of joins; every
 subgroup by exhaustive search, the enumerators' oracle, and the elements
 of a given order; the Smith normal form's old Euclidean engine, with
 its divisibility chain by prime factorization; and the structure
@@ -122,6 +125,91 @@ def normalizer(S, X) -> Subgroup:
     members = [s for s in S.members
                if all(G.conj(x, s) in X.member_set for x in gens)]
     return Subgroup(G, members)
+
+
+def _centralizes(G: Group, g: int, H: frozenset) -> bool:
+    t = G.table
+    return all(t[g, x] == t[x, g] for x in H)
+
+
+def _extends_p(G: Group, p: int, H: frozenset, g: int) -> bool:
+    """Whether g, a p-element outside the p-subgroup H, normalizes H
+    with g^p in H, so that H<g> is a p-subgroup of order p|H|."""
+    return (gp._is_p_power(G.element_order(g), p) and G.power(g, p) in H
+            and all(G.conj(x, g) in H for x in H))
+
+
+def grow_by_predicate(G: Group, amb: frozenset, seeds, extends) -> list:
+    """Every subgroup reached from ``seeds`` by steps H -> H<g> with g in
+    ``amb`` outside H and ``extends(H, g)``, kept when inside ``amb``:
+    the enumerators' engine before the generator masks, asking a member
+    predicate once per (H, g).  Sorted by (order, members)."""
+    found = dict.fromkeys(seeds)
+    cur = list(found)
+    ambl = sorted(amb)
+    cyclic = {g: gp._cyclic_ids(G, g) for g in ambl}
+    while cur:
+        nxt = {}
+        for H in cur:
+            for g in ambl:
+                if g in H or not extends(H, g):
+                    continue
+                K = frozenset(gp._product_set(G, H, cyclic[g]))
+                if K <= amb and K not in found and K not in nxt:
+                    nxt[K] = None
+        found.update(nxt)
+        cur = list(nxt)
+    return sorted(found, key=lambda s: (len(s), tuple(sorted(s))))
+
+
+def elementary_abelian_subgroups_by_predicate(S, p: int) -> list:
+    S = gp._as_subgroup(S)
+    G = S.parent
+    amb = gp._ambient(S, lambda o: o == p)
+    seeds = (G.closure([x]) for x in sorted(amb) if x != G.identity)
+    return grow_by_predicate(G, amb, seeds,
+                             lambda H, g: _centralizes(G, g, H))
+
+
+def all_p_subgroups_by_predicate(S, p: int) -> list:
+    S = gp._as_subgroup(S)
+    G = S.parent
+    amb = gp._ambient(S, lambda o: gp._is_p_power(o, p))
+    seeds = (G.closure([x]) for x in sorted(amb)
+             if G.element_order(x) == p)
+    return grow_by_predicate(G, amb, seeds,
+                             lambda H, g: _extends_p(G, p, H, g))
+
+
+def abelian_subgroups_by_predicate(S) -> list:
+    S = gp._as_subgroup(S)
+    G = S.parent
+    return grow_by_predicate(G, S.member_set, [frozenset([G.identity])],
+                             lambda H, g: _centralizes(G, g, H))
+
+
+def rank_by_predicate(P, p: int) -> int:
+    """The rank of the p-group P, from the tori above Omega1(Z(P))."""
+    P = gp._as_subgroup(P)
+    if P.order == 1:
+        return 0
+    G = P.parent
+    tori = grow_by_predicate(G, gp._ambient(P, lambda o: o == p),
+                             [gp.omega1(gp.center(P), p).member_set],
+                             lambda H, g: _centralizes(G, g, H))
+    return gp._p_rank(len(tori[-1]), p)
+
+
+def sylow_by_predicate(G: Group, p: int) -> Subgroup:
+    """From 1, step H -> H<g> with the least g that passes ``_extends_p``."""
+    n, gens = gp._p_prime_part(G.order, p), ()
+    H = frozenset([G.identity])
+    while len(H) * n < G.order:
+        g = next(g for g in range(G.order)
+                 if g not in H and _extends_p(G, p, H, g))
+        H = frozenset(gp._product_set(G, H, gp._cyclic_ids(G, g)))
+        gens = tuple(sorted(gens + (g,)))
+    return Subgroup(G, H, gens)
 
 
 def rank_by_all_tori(P, p: int) -> int:

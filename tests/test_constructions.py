@@ -133,6 +133,29 @@ def test_semidirect_product_refuses_inconsistent_action():
         oracles.semidirect_by_mul(*_squaring_on_c5_by_c2())
 
 
+def test_builders_refuse_an_over_cap_order_before_writing_generators(
+        monkeypatch):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("generators written for an over-cap order")
+    monkeypatch.setattr(gp, "group_from_generators", unreachable)
+    for build in (lambda: cs.cyclic(16385, cap=10 ** 9),
+                  lambda: cs.elementary_abelian(2, 15, cap=10 ** 9),
+                  lambda: cs.dihedral(16386, cap=10 ** 9),
+                  lambda: cs.semidihedral(1 << 15, cap=10 ** 9),
+                  lambda: cs._modular_p3(29, 10 ** 9),
+                  lambda: cs.extraspecial(2, 7, "+", cap=10 ** 9),
+                  lambda: cs.extraspecial(2, 7, "-", cap=10 ** 9),
+                  lambda: cs.extraspecial(3, 5, "exp_p", cap=10 ** 9),
+                  lambda: cs.extraspecial(3, 5, "exp_p2", cap=10 ** 9)):
+        with pytest.raises(gp.GroupTooLarge,
+                           match=r"^group order \d+ exceeds cap 16384$"):
+            build()
+    # a rank past the cap's bit length is refused without computing p^r
+    with pytest.raises(gp.GroupTooLarge,
+                       match=r"^group order 3\^1000000000 exceeds cap 16384$"):
+        cs.elementary_abelian(3, 10 ** 9, cap=10 ** 9)
+
+
 def test_semidirect_product_checks_the_order_before_the_action():
     with pytest.raises(gp.GroupTooLarge, match="group order 10 exceeds cap 9"):
         cs.semidirect_product(*_squaring_on_c5_by_c2(), cap=9)

@@ -420,6 +420,68 @@ def test_derived_subgroup_of_random_subgroups(name, picks):
     assert gp.derived_subgroup(S).member_set == _derived_by_all_commutators(S)
 
 
+# -- the generator masks against the member predicates they replaced ------
+
+@pytest.mark.parametrize("names,primes", [
+    (("S3", "S3", "S3"), (2, 3)), (("C7:C3", "C7:C3"), (3, 7)),
+    (("D10", "D14"), (2,))], ids=lambda v: "x".join(map(str, v)))
+def test_enumerators_match_member_predicates_at_scale(names, primes):
+    # D10 and D14 are not in the catalog
+    G = cs.direct_product([G_of(n) if n in SMALL else cs.dihedral(int(n[1:]))
+                           for n in names])
+    assert gp.abelian_subgroups(G) == oracles.abelian_subgroups_by_predicate(G)
+    for p in primes:
+        assert gp.elementary_abelian_subgroups(G, p) == \
+            oracles.elementary_abelian_subgroups_by_predicate(G, p)
+        assert gp.all_p_subgroups(G, p) == \
+            oracles.all_p_subgroups_by_predicate(G, p)
+        P = gp.sylow_subgroup(G, p)
+        assert gp.rank(P, p) == oracles.rank_by_predicate(P, p)
+
+
+def test_tori_match_member_predicates_on_c3_4_sd16oc4():
+    G = G_of("C3^4:(SD16oC4)")
+    assert gp.elementary_abelian_subgroups(G, 2) == \
+        oracles.elementary_abelian_subgroups_by_predicate(G, 2)
+
+
+@pytest.mark.parametrize("name", cs.catalog_names())
+def test_sylow_matches_least_extension_scan(name):
+    G = G_of(name)
+    for p in _primes(G.order):
+        P, old = gp.sylow_subgroup(G, p), oracles.sylow_by_predicate(G, p)
+        assert P.members == old.members
+        assert P.generator_witness == old.generator_witness
+
+
+def _subgroups_to_test(G):
+    """The trivial subgroup, G, its Sylow subgroups, and the centres and
+    derived subgroups of each."""
+    found = [G.trivial_subgroup(), G.full()]
+    found += [gp.sylow_subgroup(G, p) for p in _primes(G.order)]
+    for S in found[1:]:
+        found += [gp.center(S), gp.derived_subgroup(S)]
+    return found
+
+
+@pytest.mark.parametrize("name", SMALL)
+def test_centralizer_normality_and_commutativity_by_definition(name):
+    G = G_of(name)
+    subs = _subgroups_to_test(G)
+    for S in subs:
+        assert gp.is_abelian(S) == all(G.mul(a, b) == G.mul(b, a)
+                                       for a in S.members for b in S.members)
+        for X in subs:
+            assert gp.centralizer(S, X).members == tuple(
+                s for s in S.members
+                if all(G.mul(s, x) == G.mul(x, s) for x in X.members))
+            assert gp.is_normal(S, X) == all(
+                G.conj(s, x) in S.member_set
+                for s in S.members for x in X.members)
+        assert gp.is_normal(S) == all(G.conj(s, x) in S.member_set
+                                      for s in S.members for x in range(G.order))
+
+
 # -- the Cayley table against the per-element lookup it replaced ---------
 
 def _table_by_lookup(G):
