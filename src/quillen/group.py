@@ -4,15 +4,15 @@ Groups are fully enumerated permutation groups with canonical integer
 element ids (elements sorted lexicographically by image tuple, so the
 identity is always id 0).  A dense multiplication table makes all element
 arithmetic O(1), which keeps the subgroup-theoretic primitives cheap at
-desk scale.  The table is built with numpy from the images of a base, a
-few points whose images tell all elements apart (Seress, *Permutation
-Group Algorithms*, 2003, ch. 4): the base images of a product are those
-of its right factor mapped by its left, and they decode to its id in one
-lookup per base point.  It takes 4*order^2 bytes, so no group beyond
-TABLE_ORDER_CAP elements is built, whatever the caller's cap.  numpy is
-imported by the functions that use it, so that importing the package,
-and commands that build no group, do not load it.  Subgroups
-are immutable member-id sets inside a parent group.
+desk scale.  Both come from breadth-first walks of the Cayley graph by
+left multiplication: the elements are enumerated as numpy arrays of
+images, and the table is filled row by row, only the generators' rows
+by lookup and every other row x = g*w as row g read at row w.  Its ids
+are int16, 2*order^2 bytes, so no group beyond TABLE_ORDER_CAP elements
+is built, whatever the caller's cap.  numpy is imported by the
+functions that use it, so that importing the package, and commands that
+build no group, do not load it.  Subgroups are immutable member-id sets
+inside a parent group.
 """
 
 from __future__ import annotations
@@ -31,15 +31,9 @@ from .errors import (
 
 DEFAULT_ELEMENT_CAP = 4096
 DERIVED_SERIES_DEPTH_CAP = 32
-TABLE_ORDER_CAP = 1 << 14  # bounds every cap: a 1 GiB int32 table (4*order^2)
-BLOCK_ENTRIES = 1 << 13  # int64 entries per temporary of a block of rows: 64 KiB
+TABLE_ORDER_CAP = 1 << 14  # bounds every cap: ids fit int16, a 512 MiB table
 
 Perm = tuple  # tuple of images, 0-based
-
-
-def compose(a: Perm, b: Perm) -> Perm:
-    """(a*b)(x) = a(b(x))."""
-    return tuple(a[x] for x in b)
 
 
 def validate_permutation(p: Sequence[int], degree: int) -> Perm:
@@ -54,8 +48,8 @@ class Group:
 
     Immutable after construction; safe to share.  `elements[i]` is the
     permutation with id ``i``; `table[i, j]` is the id of
-    ``elements[i] * elements[j]``; `base` is the tuple of points whose
-    images tell the elements apart, from which the table is built.
+    ``elements[i] * elements[j]``.  The ``generator_ids`` must generate
+    the group: the table is filled along the walk they span.
     """
 
     def __init__(self, degree: int, elements: list, generator_ids: tuple,
@@ -76,24 +70,27 @@ class Group:
     # -- construction ---------------------------------------------------
 
     def _build_table(self) -> np.ndarray:
-        """Row i holds the ids of elements[i] * elements[j].  A product is
-        identified by its images of the base: each row is gathered from
-        the base images of all elements at once and decoded level by
-        level, in blocks of rows whose temporaries hold BLOCK_ENTRIES
-        entries each."""
+        """Row i holds the ids of elements[i] * elements[j].  A generator's
+        row is looked up in the index, one product at a time; every other
+        row is filled from its parent on a breadth-first walk from the
+        identity: x = g*w has row(x) = row(g)[row(w)]."""
         import numpy as np
-        n, d = self.order, self.degree
-        E = np.array(self.elements, dtype=np.intp)
-        self.base, luts = _base_codes(E)
-        Eb = E[:, self.base].T.copy()  # Eb[k, j] = elements[j][base[k]]
-        table = np.empty((n, n), dtype=np.int32)
-        rows = max(1, BLOCK_ENTRIES // n)
-        for lo in range(0, n, rows):
-            block = E[lo:lo + rows]
-            code = 0
-            for pts, lut in zip(Eb, luts):
-                code = lut[code * d + block[:, pts]]
-            table[lo:lo + rows] = code
+        n, gens = self.order, self.generators
+        E = np.array(self.elements, dtype=_image_dtype(self.degree))
+        table = np.empty((n, n), dtype=np.int16)
+        table[0] = np.arange(n)
+        for g in gens:
+            table[g] = [self.index[p] for p in _tuples(E[g][E], self.degree)]
+        queue = [0, *gens]  # the rows filled so far, in walk order
+        seen = set(queue)
+        for w in queue:
+            for g in gens:
+                x = int(table[g, w])
+                if x not in seen:
+                    seen.add(x)
+                    queue.append(x)
+                    np.take(table[g], table[w], out=table[x])
+        assert len(seen) == n, "the generators must generate the group"
         return table
 
     def _build_inverses(self) -> np.ndarray:
@@ -211,38 +208,6 @@ class Subgroup:
         return f"<Subgroup order={self.order} of {self.parent!r}>"
 
 
-def _base_codes(E: np.ndarray) -> tuple:
-    """A base of the group whose elements are the rows of ``E``, and the
-    lookup tables that decode base images.  Points are taken greedily,
-    each one that separates more elements than the ones before.  After
-    k base points an element's code is the rank of its first k base
-    images among the elements', so it stays below the order; with code
-    c and image y of the next base point the code becomes
-    ``luts[k][c * degree + y]``, and the last lookup gives the element
-    id."""
-    import numpy as np
-    n, d = E.shape
-    code = np.zeros(n, dtype=np.intp)
-    classes = 1
-    base, luts = [], []
-    for b in range(d):
-        if classes == n:
-            break
-        key = code * d + E[:, b]
-        seen = np.zeros(classes * d, dtype=bool)
-        seen[key] = True
-        found = np.count_nonzero(seen)
-        if found == classes:
-            continue  # the base points so far fix the image of b
-        lut = np.cumsum(seen) - 1  # rank of each key among those seen
-        base.append(b)
-        luts.append(lut)
-        code, classes = lut[key], found
-        if classes == n:
-            lut[key] = np.arange(n)
-    return tuple(base), luts
-
-
 def _small_witness(G: Group, members: frozenset) -> tuple:
     """Greedy small generating set for a known-closed member set."""
     if len(members) == 1:
@@ -272,28 +237,50 @@ def group_from_generators(degree: int, gens: Sequence[Sequence[int]], *,
                           cap: int = DEFAULT_ELEMENT_CAP,
                           provenance: str = "given generators",
                           label: str = "") -> Group:
-    """Enumerate the group generated by permutations of {0..degree-1}."""
+    """Enumerate the group generated by permutations of {0..degree-1},
+    breadth first by left multiplication: the children of a frontier F
+    under a generator g are the rows of g[F], kept when their bytes are
+    new.  Ids are the ranks of the image tuples, by one lexsort."""
+    import numpy as np
     perms = [validate_permutation(g, degree) for g in gens]
     cap = min(cap, TABLE_ORDER_CAP)
-    identity = tuple(range(degree))
-    members = {identity}
-    frontier = [identity]
+    dtype = _image_dtype(degree)
+    width = degree * dtype.itemsize
+    gmat = np.array(perms, dtype=dtype).reshape(len(perms), degree)
+    frontier = [np.arange(degree, dtype=dtype).tobytes()]
+    walk = {frontier[0]: 0}  # each element's bytes -> its place in the walk
     while frontier:
-        new = []
-        for w in frontier:
-            for g in perms:
-                x = compose(w, g)
-                if x not in members:
-                    members.add(x)
-                    if len(members) > cap:
-                        raise GroupTooLarge(
-                            f"group order exceeds cap {cap}")
-                    new.append(x)
-        frontier = new
-    elements = sorted(members)
-    index = {p: i for i, p in enumerate(elements)}
-    gen_ids = tuple(sorted({index[p] for p in perms} - {index[identity]}))
-    return Group(degree, elements, gen_ids, provenance=provenance, label=label)
+        F = np.frombuffer(b"".join(frontier), dtype=dtype)
+        F = F.reshape(len(frontier), degree)
+        frontier = []
+        for g in gmat:
+            kids = g[F].tobytes()
+            for k in range(len(F)):
+                x = kids[k * width:(k + 1) * width]
+                if x not in walk:
+                    walk[x] = len(walk)
+                    frontier.append(x)
+            if len(walk) > cap:
+                raise GroupTooLarge(f"group order exceeds cap {cap}")
+    E = np.frombuffer(b"".join(walk), dtype=dtype).reshape(len(walk), degree)
+    order = np.lexsort(E.T[::-1]) if degree else [0]  # id -> place in the walk
+    at = [walk[g.tobytes()] for g in gmat]
+    gen_ids = tuple(int(i) for i in np.flatnonzero(np.isin(order, at)) if i)
+    return Group(degree, list(_tuples(E[order], degree)), gen_ids,
+                 provenance=provenance, label=label)
+
+
+def _image_dtype(degree: int) -> np.dtype:
+    """The narrowest unsigned dtype that holds the points 0..degree-1."""
+    import numpy as np
+    return np.min_scalar_type(max(degree - 1, 0))
+
+
+def _tuples(images: np.ndarray, degree: int):
+    """The rows of an array of images as tuples that share one int object
+    per point, so that a large degree costs a pointer per image."""
+    import numpy as np
+    return map(tuple, np.array(range(degree), dtype=object)[images].tolist())
 
 
 # -- spec operations ----------------------------------------------------
@@ -564,14 +551,15 @@ def p_length(G: Group, p: int) -> PSeriesReport:
 
 # -- rank and p-group structure -----------------------------------------
 
-def elementary_abelian_subgroups(S, p: int) -> list:
+def elementary_abelian_subgroups(S, p: int) -> dict:
     """All nontrivial elementary abelian p-subgroups of the Group or
-    Subgroup S (as member frozensets), grown from 1 by centralizing
-    order-p elements."""
+    Subgroup S (member frozensets, each mapped to generators), grown from
+    1 by centralizing order-p elements."""
     S = _as_subgroup(S)
     G = S.parent
-    return _grow(G, _ambient(S, lambda o: o == p), frozenset([G.identity]),
-                 (), lambda H, gens, cand: _commuting(G, gens, cand))[1:]
+    return dict(_grow(G, _ambient(S, lambda o: o == p),
+                      frozenset([G.identity]), (),
+                      lambda H, gens, cand: _commuting(G, gens, cand))[1:])
 
 
 def _ambient(S: Subgroup, keep) -> frozenset:
@@ -586,7 +574,8 @@ def _grow(G: Group, amb: frozenset, start: frozenset, gens: tuple,
     """Every subgroup reached from ``start``, generated by ``gens``, by
     steps H -> H<g>, one per coset Hg, for the g outside H that
     ``steps(H, gens of H, ids of amb)`` passes: g normalizes H and keeps
-    H<g> = H·<g> in ``amb``.  Sorted by (order, members)."""
+    H<g> = H·<g> in ``amb``.  (members, generators) pairs, sorted by
+    (order, members)."""
     import numpy as np
     found, queue = {start: gens}, [start]
     ids = np.array(sorted(amb), dtype=np.intp)
@@ -600,7 +589,7 @@ def _grow(G: Group, amb: frozenset, start: frozenset, gens: tuple,
             if K not in found:
                 found[K] = found[H] + (g,)
                 queue.append(K)
-    return sorted(found, key=lambda s: (len(s), tuple(sorted(s))))
+    return sorted(found.items(), key=lambda kv: (len(kv[0]), sorted(kv[0])))
 
 
 def _cyclic_ids(G: Group, g: int) -> tuple:
@@ -637,7 +626,7 @@ def rank(P, p: int) -> int:
     G, Z = P.parent, omega1(center(P), p)
     tori = _grow(G, _ambient(P, lambda o: o == p), Z.member_set, Z.generator_witness,
                  lambda H, gens, cand: _commuting(G, gens, cand))
-    return _p_rank(len(tori[-1]), p)
+    return _p_rank(len(tori[-1][0]), p)
 
 
 def frattini_subgroup(P, p: int) -> Subgroup:
@@ -697,22 +686,23 @@ def _dihedral_like(S, twist) -> bool:
 
 # -- p-subgroup enumeration (for the Brown poset and Sylow counting) ----
 
-def all_p_subgroups(S, p: int) -> list:
-    """All nontrivial p-subgroups of the Group or Subgroup S (as member
-    frozensets), grown from 1 by normalizing p-elements g, so H<g> =
-    H·<g> is a p-group.  Every K is reached: it has a normal H of index
-    p, and K = H<g> for every g of K outside H."""
+def all_p_subgroups(S, p: int) -> dict:
+    """All nontrivial p-subgroups of the Group or Subgroup S (member
+    frozensets, each mapped to generators), grown from 1 by normalizing
+    p-elements g, so H<g> = H·<g> is a p-group.  Every K is reached: it
+    has a normal H of index p, and K = H<g> for every g of K outside H."""
     S = _as_subgroup(S)
     G = S.parent
-    return _grow(G, _ambient(S, lambda o: _is_p_power(o, p)),
-                 frozenset([G.identity]), (),
-                 lambda H, gens, cand: _normalizing(G, H, gens, cand))[1:]
+    return dict(_grow(G, _ambient(S, lambda o: _is_p_power(o, p)),
+                      frozenset([G.identity]), (),
+                      lambda H, gens, cand: _normalizing(G, H, gens, cand))[1:])
 
 
-def abelian_subgroups(S) -> list:
+def abelian_subgroups(S) -> dict:
     """All abelian subgroups of the Group or Subgroup S (including the
-    trivial one), by extension over centralizing elements."""
+    trivial one; member frozensets, each mapped to generators), by
+    extension over centralizing elements."""
     S = _as_subgroup(S)
     G = S.parent
-    return _grow(G, S.member_set, frozenset([G.identity]), (),
-                 lambda H, gens, cand: _commuting(G, gens, cand))
+    return dict(_grow(G, S.member_set, frozenset([G.identity]), (),
+                      lambda H, gens, cand: _commuting(G, gens, cand)))

@@ -62,9 +62,10 @@ class SubgroupPoset:
 
 # -- poset builders -----------------------------------------------------
 
-def _poset(S, sets) -> SubgroupPoset:
+def _poset(S, found: dict) -> SubgroupPoset:
+    """The nodes of ``found``, each with the generators it was grown by."""
     G = gp._as_subgroup(S).parent
-    return SubgroupPoset(G, [Subgroup(G, s) for s in sets])
+    return SubgroupPoset(G, [Subgroup(G, s, gens) for s, gens in found.items()])
 
 
 def quillen_poset(S, p: int) -> SubgroupPoset:

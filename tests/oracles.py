@@ -413,14 +413,27 @@ def group_from_table(table: Sequence[Sequence[int]], *,
         raise InvalidPermutation("multiplication table rows not distinct")
     elements = sorted(perms)
     index = {p: i for i, p in enumerate(elements)}
-    if gen_indices is None:
-        gen_ids = tuple(i for i in range(len(elements)) if i != 0)
-    else:
-        gen_ids = tuple(sorted({index[tuple(table[i])] for i in gen_indices}))
+    spanning = gen_indices if gen_indices is not None else _spanning(table)
+    gen_ids = tuple(sorted({index[tuple(table[i])] for i in spanning}))
     G = Group(n, elements, gen_ids, provenance=provenance, label=label)
     if gen_indices is None:  # shrink the witness generators
         G.generators = gp._small_witness(G, frozenset(range(n)))
     return G
+
+
+def _spanning(table: Sequence[Sequence[int]]) -> list:
+    """Indices that generate the group of ``table``: each index not yet
+    in the closure of those before it."""
+    gens, reached = [], set()
+    for i in range(len(table)):
+        if i not in reached:
+            gens.append(i)
+            reached, frontier = set(gens), list(gens)
+            while frontier:
+                frontier = [x for x in {table[w][g] for w in frontier
+                                        for g in gens} if x not in reached]
+                reached.update(frontier)
+    return gens
 
 
 def from_mul_by_table(elems, mul, gen_elems, cap, label=""):

@@ -82,7 +82,7 @@ def test_element_cap_enforced():
 
 
 def test_table_bound_caps_every_cap():
-    assert gp.TABLE_ORDER_CAP == 16384  # a 1 GiB int32 table
+    assert gp.TABLE_ORDER_CAP == 16384  # ids fit int16: a 512 MiB table
     # C2^15 has 32768 elements; enumeration stops at 16385 of them
     swaps = [[2 * i + 1 if x == 2 * i else 2 * i if x == 2 * i + 1 else x
               for x in range(30)] for i in range(15)]
@@ -380,7 +380,7 @@ def test_enumerators_match_filtered_all_subgroups(name):
     assert G.order <= 216
     subs = oracles.all_subgroups(G)
     S = {K: gp.Subgroup(G, K) for K in subs}
-    assert gp.abelian_subgroups(G) == [K for K in subs if gp.is_abelian(S[K])]
+    assert list(gp.abelian_subgroups(G)) == [K for K in subs if gp.is_abelian(S[K])]
     for p in _primes(G.order):
         P = gp.sylow_subgroup(G, p)
         inP = [K for K in subs if K <= P.member_set]
@@ -388,11 +388,14 @@ def test_enumerators_match_filtered_all_subgroups(name):
         for scope, inside in ((G, subs), (P, inP)):
             psubs = [K for K in inside
                      if len(K) > 1 and gp.is_p_group(S[K], p)]
-            assert gp.all_p_subgroups(scope, p) == psubs
-            assert gp.elementary_abelian_subgroups(scope, p) == \
+            assert list(gp.all_p_subgroups(scope, p)) == psubs
+            assert list(gp.elementary_abelian_subgroups(scope, p)) == \
                 [K for K in psubs if gp.is_elementary_abelian(S[K], p)]
-        assert gp.abelian_subgroups(P) == \
+        assert list(gp.abelian_subgroups(P)) == \
             [K for K in inP if gp.is_abelian(S[K])]
+        for found in (gp.abelian_subgroups(G), gp.all_p_subgroups(G, p),
+                      gp.elementary_abelian_subgroups(G, p)):
+            assert all(G.closure(gens) == K for K, gens in found.items())
 
 
 @pytest.mark.parametrize("name", SMALL)
@@ -429,11 +432,12 @@ def test_enumerators_match_member_predicates_at_scale(names, primes):
     # D10 and D14 are not in the catalog
     G = cs.direct_product([G_of(n) if n in SMALL else cs.dihedral(int(n[1:]))
                            for n in names])
-    assert gp.abelian_subgroups(G) == oracles.abelian_subgroups_by_predicate(G)
+    assert list(gp.abelian_subgroups(G)) == \
+        oracles.abelian_subgroups_by_predicate(G)
     for p in primes:
-        assert gp.elementary_abelian_subgroups(G, p) == \
+        assert list(gp.elementary_abelian_subgroups(G, p)) == \
             oracles.elementary_abelian_subgroups_by_predicate(G, p)
-        assert gp.all_p_subgroups(G, p) == \
+        assert list(gp.all_p_subgroups(G, p)) == \
             oracles.all_p_subgroups_by_predicate(G, p)
         P = gp.sylow_subgroup(G, p)
         assert gp.rank(P, p) == oracles.rank_by_predicate(P, p)
@@ -441,7 +445,7 @@ def test_enumerators_match_member_predicates_at_scale(names, primes):
 
 def test_tori_match_member_predicates_on_c3_4_sd16oc4():
     G = G_of("C3^4:(SD16oC4)")
-    assert gp.elementary_abelian_subgroups(G, 2) == \
+    assert list(gp.elementary_abelian_subgroups(G, 2)) == \
         oracles.elementary_abelian_subgroups_by_predicate(G, 2)
 
 
@@ -508,7 +512,7 @@ def _inverses_by_scan(table):
 
 def _assert_table_exact(G):
     table = _table_by_lookup(G)
-    assert G.table.dtype == np.int32 and G.inverse.dtype == np.int32
+    assert G.table.dtype == np.int16 and G.inverse.dtype == np.int16
     assert np.array_equal(G.table, table)
     assert np.array_equal(G.inverse, _inverses_by_scan(table))
     assert (G.table[np.arange(G.order), G.inverse] == 0).all()
@@ -530,14 +534,14 @@ def _moved_to(perm, off, degree):
 def test_table_matches_lookup_on_long_bases_and_high_degree():
     S4, A4 = G_of("S4"), G_of("A4")
     G = cs.direct_product([S4, A4])
-    assert G.degree == 8 and len(G.base) >= 5
+    assert G.degree == 8
     _assert_table_exact(G)
     # C3 on points 0..2 times S4 x A4 on points 256..263 of 264
     gens = ([_moved_to(S4.elements[g], 256, 264) for g in S4.generators]
             + [_moved_to(A4.elements[g], 260, 264) for g in A4.generators]
             + [_moved_to((1, 2, 0), 0, 264)])
     H = gp.group_from_generators(264, gens)
-    assert H.order == 3 * 288 and len(H.base) >= 5 and max(H.base) > 255
+    assert H.order == 3 * 288
     _assert_table_exact(H)
     assert gp.group_from_generators(1, []).table.tolist() == [[0]]
 
@@ -545,14 +549,43 @@ def test_table_matches_lookup_on_long_bases_and_high_degree():
 def test_table_ids_follow_the_element_list():
     # builders list elements in image order, but ids are list positions
     S4 = G_of("S4")
-    _assert_table_exact(gp.Group(4, S4.elements[:1] + S4.elements[:0:-1], ()))
+    gens = tuple(sorted(S4.order - g for g in S4.generators))  # reversed ids
+    _assert_table_exact(gp.Group(4, S4.elements[:1] + S4.elements[:0:-1], gens))
+
+
+def test_images_keep_a_dtype_that_fits_the_degree():
+    # ids are int16, but a perm spec's degree is not capped
+    swap = list(range(1, 39999)) + [40000, 39999]
+    G = cs.build(cs.GroupSpec("perm", {"degree": 40000, "generators": [swap]}))
+    assert G.order == 2 and G.elements[1][-2:] == (39999, 39998)
+    assert G.table.tolist() == [[0, 1], [1, 0]]
+
+
+def test_table_matches_lookup_at_scale():
+    """Every entry of an order-5184 table against one vectorized lookup
+    per row: a product is found by its images of a few points that tell
+    the elements of G apart, which suffices since it lies in G."""
+    G = G_of("C3^4:(SD16oD8)")
+    assert G.table.dtype == np.int16 and G.table.nbytes == 2 * G.order ** 2
+    E = np.array(G.elements, dtype=np.int64)
+    n, d = E.shape
+    points, code = [], np.zeros(n, dtype=np.int64)
+    for b in range(d):
+        if len(np.unique(code * d + E[:, b])) > len(np.unique(code)):
+            points, code = points + [b], code * d + E[:, b]
+    assert len(np.unique(code)) == n and d ** len(points) < 2 ** 63
+    radix, by_code = d ** np.arange(len(points))[::-1], np.argsort(code)
+    for i in range(n):
+        prods = E[i][E[:, points]] @ radix
+        assert np.array_equal(
+            G.table[i], by_code[np.searchsorted(code, prods, sorter=by_code)])
 
 
 @pytest.mark.parametrize("name", ["S4", "SL(2,3)", "C3C3:C2", "D16xC2"])
 def test_table_matches_lookup_on_regular_representations(name):
     G = G_of(name)
     R = gp.group_from_generators(G.order, G.table[list(G.generators)].tolist())
-    assert R.degree == R.order == G.order and R.base == (0,)
+    assert R.degree == R.order == G.order
     assert R.elements == oracles.group_from_table(G.table.tolist()).elements
     _assert_table_exact(R)
 
