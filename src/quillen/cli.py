@@ -27,7 +27,12 @@ from .errors import (
     QuillenError,
 )
 from .group import DEFAULT_ELEMENT_CAP, TABLE_ORDER_CAP
-from .homology import HOMOLOGY_PROXY_CAVEAT, TorusComplex, reduced_homology
+from .homology import (
+    HOMOLOGY_PROXY_CAVEAT,
+    TorusComplex,
+    poset_homology,
+    reduced_homology,
+)
 from .report import VERSION, AnalysisReport, group_stats
 
 EXIT_OK = 0
@@ -146,10 +151,10 @@ def cmd_quillen(args) -> int:
     def run(G, p, timings):
         T = TorusComplex(G, p)
         with _timer(timings, "complex"):
-            C = T.complex
+            d = T.dim
         with _timer(timings, "homology"):
             prof = T.profile
-        analyses = {"quillen": {"poset_nodes": len(T.poset), "dim": C.dim,
+        analyses = {"quillen": {"poset_nodes": len(T.poset), "dim": d,
                                 "profile": prof.to_json()}}
         brown_agrees = None
         if args.brown:
@@ -157,14 +162,13 @@ def cmd_quillen(args) -> int:
                 # the homotopy equivalence with the torus complex holds
                 # for the poset of ALL nontrivial p-subgroups, which
                 # brown_poset gives (G itself included when a p-group)
-                B = ps.order_complex(ps.brown_poset(G, p))
-                bprof = reduced_homology(B)
+                bprof = poset_homology(ps.brown_poset(G, p))
             brown_agrees = bprof == prof
-            analyses["brown"] = {"dim": B.dim, "profile": bprof.to_json(),
+            analyses["brown"] = {"dim": bprof.dim, "profile": bprof.to_json(),
                                  "profiles_equal": brown_agrees}
         if args.export_complex:
             with open(args.export_complex, "w") as fh:
-                fh.write(C.export_text())
+                fh.write(T.complex.export_text())
             analyses["quillen"]["exported_to"] = args.export_complex
         return analyses, _red(brown_agrees)
     return _group_command(args, "quillen", run)
@@ -175,7 +179,7 @@ def cmd_cm_check(args) -> int:
         T = TorusComplex(G, p)
         with _timer(timings, "cm_check"):
             cm = T.cohen_macaulay.to_json()
-        return {"cohen_macaulay": cm, "dim": T.complex.dim}, EXIT_OK
+        return {"cohen_macaulay": cm, "dim": T.dim}, EXIT_OK
     return _group_command(args, "cm-check", run)
 
 
@@ -304,11 +308,10 @@ def _run_instance(inst: dict, max_order: Optional[int]) -> dict:
         try:
             if chk == "quillen":
                 results[chk] = {"agrees": None, "poset_nodes": len(T.poset),
-                                "dim": T.complex.dim,
+                                "dim": T.dim,
                                 "profile": T.profile.to_json()}
             elif chk == "brown":
-                B = ps.order_complex(ps.brown_poset(G, p))
-                bprof = reduced_homology(B)
+                bprof = poset_homology(ps.brown_poset(G, p))
                 results[chk] = {"agrees": bprof == T.profile,
                                 "profile": bprof.to_json()}
             elif chk == "cm":

@@ -27,7 +27,22 @@ interval per class.  That needs A to be the full A_p(G) of its ground
 group: every elementary abelian p-subgroup, so that each factor above
 is a whole subspace poset and A is closed under conjugation.
 `TorusComplex` builds A so, and it is the one place where the package
-builds and reduces the torus complex of a ground group.
+builds the torus complex of a ground group.
+
+Every profile of a poset (the torus complex, Brown's S_p(G), each
+interval Delta(A>x) and each wedge piece) is read by `poset_homology`
+from the poset's beat-point core.  A beat point is a node whose strict
+up-set has a least element, or whose strict down-set has a greatest one.
+Removing one is a strong deformation retraction of the order complex,
+and the core left when none remains does not depend on the order of
+removal, up to isomorphism (Stong, "Finite topological spaces", Trans.
+AMS 123, 1966; Barmak, Algebraic Topology of Finite Topological Spaces
+and Applications, LNM 2032, 2011, ch. 1).  A core of one point is
+contractible and builds no complex; otherwise the core's order complex
+is reduced.  The dimension of a profile is the height of the whole
+poset, so that profiles read as those of the whole complex.  The full
+Delta(A) is built only for export and for the link witnessing a failed
+Cohen-Macaulay check.
 """
 
 from __future__ import annotations
@@ -295,6 +310,21 @@ def reduced_homology(C: SimplicialComplex) -> HomologyProfile:
     return HomologyProfile(d, tuple(betti), tuple(torsion))
 
 
+def poset_homology(P: SubgroupPoset) -> HomologyProfile:
+    """Reduced homology of the order complex of P, from its beat-point
+    core (see the module docstring), padded to the dimension of the
+    whole complex, P's height."""
+    d = P.height()
+    core = P.core()
+    betti, torsion = (), ()
+    if len(core) != 1:
+        Q = P if len(core) == len(P) else P.induced(core)
+        h = reduced_homology(order_complex(Q))
+        betti, torsion = h.betti, h.torsion
+    pad = d + 2 - len(betti)
+    return HomologyProfile(d, betti + (0,) * pad, torsion + ((),) * pad)
+
+
 def join_homology(X: HomologyProfile, Y: HomologyProfile) -> HomologyProfile:
     """Reduced homology of the join X * Y from that of its factors
     (Milnor): H~_{n+1}(X * Y) is the sum of H~_i(X) (x) H~_j(Y) over
@@ -379,8 +409,9 @@ def is_cohen_macaulay(C: SimplicialComplex) -> SphericityVerdict:
 class TorusComplex:
     """The torus complex of a ground group G at a prime p: the poset
     A = A_p(G) of its nontrivial elementary abelian p-subgroups, the
-    order complex Delta(A), its reduced homology and its Cohen-Macaulay
-    verdict.  Each is computed once, when first read."""
+    dimension of the order complex Delta(A), its reduced homology and
+    its Cohen-Macaulay verdict.  Each is computed once, when first read;
+    Delta(A) itself only for export and for a failure's witness."""
 
     def __init__(self, G: Group, p: int):
         self.group = G
@@ -391,12 +422,16 @@ class TorusComplex:
         return quillen_poset(self.group, self.prime)
 
     @cached_property
+    def dim(self) -> int:
+        return self.poset.height()
+
+    @cached_property
     def complex(self) -> SimplicialComplex:
         return order_complex(self.poset)
 
     @cached_property
     def profile(self) -> HomologyProfile:
-        return reduced_homology(self.complex)
+        return poset_homology(self.poset)
 
     @cached_property
     def cohen_macaulay(self) -> SphericityVerdict:
@@ -406,17 +441,16 @@ class TorusComplex:
         that sweep fails first at the least vertex of a failing class,
         since a chain whose link fails has a top vertex whose link fails,
         so only that one link is built, for the witness."""
-        A, C = self.poset, self.complex
+        A, d = self.poset, self.dim
 
         def fails(x):  # Delta(A>x) is not (d - rank of x)-spherical
-            above = order_complex(A.induced(sorted(A.above[x])))
+            above = poset_homology(A.induced(sorted(A.above[x])))
             r = _p_rank(A.nodes[x].order, self.prime)
-            return not sphericity(reduced_homology(above),
-                                  C.dim - r).homology_spherical
+            return not sphericity(above, d - r).homology_spherical
 
-        return _cm_verdict(self.profile, C.dim, (
-            _link_failure(C, {x}) for x, *_ in conjugacy_classes(A)
-            if fails(x)))
+        return _cm_verdict(self.profile, d, (
+            _link_failure(self.complex, {x})
+            for x, *_ in conjugacy_classes(A) if fails(x)))
 
 
 def _cm_verdict(profile: HomologyProfile, d: int,

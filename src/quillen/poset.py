@@ -59,6 +59,35 @@ class SubgroupPoset:
         return SubgroupPoset(self.ground_group,
                              [self.nodes[i] for i in indices])
 
+    def height(self) -> int:
+        """The dimension of the order complex: the number of nodes in a
+        longest chain, minus one (-1 when empty).  A node is below only
+        later nodes, so one reverse pass finds each longest chain up."""
+        up = [0] * len(self)
+        for i in reversed(range(len(self))):
+            up[i] = 1 + max((up[j] for j in self.above[i]), default=0)
+        return max(up, default=0) - 1
+
+    def core(self) -> list:
+        """The node indices of a beat-point core, ascending.  A beat point
+        is a node whose strict up-set among the nodes left has a least
+        element, or whose strict down-set has a greatest one; they are
+        removed until none is left.  A least element has the least order
+        of the up-set, so it is the up-set's first node, and a greatest
+        element its last."""
+        above, below = self.above, self.below
+        live = set(range(len(self)))
+        removed = True
+        while removed:
+            removed = False
+            for x in sorted(live):
+                up, down = above[x] & live, below[x] & live
+                if ((up and up - {min(up)} <= above[min(up)])
+                        or (down and down - {max(down)} <= below[max(down)])):
+                    live.remove(x)
+                    removed = True
+        return sorted(live)
+
 
 # -- poset builders -----------------------------------------------------
 

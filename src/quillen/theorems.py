@@ -23,7 +23,7 @@ from .homology import (
     SphericityVerdict,
     TorusComplex,
     join_homology,
-    reduced_homology,
+    poset_homology,
     sphericity,
     wedge_homology,
 )
@@ -320,7 +320,7 @@ def upper_interval_check(P, p: int, X) -> TheoremVerdict:
     if not gp.is_elementary_abelian(X, p) or X.order == 1:
         raise HypothesisViolated("X a nontrivial p-torus")
     I = ps.upper_interval(ps.quillen_poset(P, p), X)
-    prof = reduced_homology(ps.order_complex(I))
+    prof = poset_homology(I)
     computed = {"interval_nodes": len(I), "profile": prof.to_json()}
     rkX = gp._p_rank(X.order, p)
 
@@ -375,7 +375,7 @@ def upper_interval_check(P, p: int, X) -> TheoremVerdict:
 
     if reduction is not None:
         claim, predicted, notes, side = reduction
-        prof2 = reduced_homology(ps.order_complex(I2))
+        prof2 = poset_homology(I2)
         iso_ok = len(I2) == len(I) and prof2 == prof
         agrees = sphericity(prof, r).homology_spherical and iso_ok
         computed["reduction_nodes"] = len(I2)
@@ -439,13 +439,12 @@ def verify_pulkus_welker(T: TorusComplex) -> TheoremVerdict:
                  tuple(sorted(set(N.generator_witness)
                               | set(X.generator_witness))))
         for X in A.nodes])
-    pieces = [(reduced_homology(ps.order_complex(PQ)), 1)]
+    pieces = [(poset_homology(PQ), 1)]
     for cls in ps.conjugacy_classes(PQ):
         NA = PQ.nodes[cls[0]]
-        inside = T.profile if NA.order == G.order else reduced_homology(
-            ps.order_complex(A.induced(j for j, X in enumerate(A.nodes)
-                                       if X <= NA)))
-        above = reduced_homology(ps.order_complex(ps.upper_interval(PQ, NA)))
+        inside = T.profile if NA.order == G.order else poset_homology(
+            A.induced(j for j, X in enumerate(A.nodes) if X <= NA))
+        above = poset_homology(ps.upper_interval(PQ, NA))
         pieces.append((join_homology(inside, above), len(cls)))
     rhs = wedge_homology(pieces)
 
@@ -544,13 +543,13 @@ def main_theorem_check(T: TorusComplex) -> TheoremVerdict:
     cm = None if semidihedral else T.cohen_macaulay
     prof = T.profile
     rkP = gp.rank(P, p)
-    computed = {"sylow_order": P.order, "rank": rkP, "dim": T.complex.dim,
+    computed = {"sylow_order": P.order, "rank": rkP, "dim": T.dim,
                 "profile": prof.to_json(), "T_type": rep.T_type,
                 "case": rep.case}
 
     if not semidihedral:
         computed["cohen_macaulay"] = cm.cohen_macaulay
-        agrees = cm.cohen_macaulay and T.complex.dim == rkP - 1
+        agrees = cm.cohen_macaulay and T.dim == rkP - 1
         return TheoremVerdict(
             "main-cm", f"Cohen-Macaulay of dimension {rkP - 1}",
             computed, agrees,

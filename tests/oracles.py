@@ -1,6 +1,6 @@
 """Reference constructions that only the tests use: poset intervals, the
-Hasse diagram, facets and the reduced Euler characteristic, each by the
-direct definition; the join and the one-point wedge as explicit
+Hasse diagram, a beat-point core, facets and the reduced Euler
+characteristic, each by the direct definition; the join and the one-point wedge as explicit
 complexes, the oracle for `join_homology` and `wedge_homology`;
 normalizers, the list of Sylow subgroups and the rank read off every
 torus; the subgroup enumerators' old engine, which asks a member
@@ -55,6 +55,31 @@ def lower_interval(P: SubgroupPoset, x) -> SubgroupPoset:
 def open_interval(P: SubgroupPoset, r, s) -> SubgroupPoset:
     i, j = P.index_of(r), P.index_of(s)
     return P.induced(sorted(P.above[i] & P.below[j]))
+
+
+def beat_core_from_the_top(P: SubgroupPoset) -> list:
+    """A beat-point core by the direct definition, in passes that scan
+    from the last node down, the reverse of `SubgroupPoset.core`'s order:
+    x is a beat point when some live node of its strict up-set is below
+    every other one, or some live node of its strict down-set is above
+    every other one."""
+    live = set(range(len(P)))
+
+    def beat(x):
+        up = [u for u in P.above[x] if u in live]
+        down = [d for d in P.below[x] if d in live]
+        return (any(all(v == u or v in P.above[u] for v in up) for u in up)
+                or any(all(v == d or v in P.below[d] for v in down)
+                       for d in down))
+
+    removed = True
+    while removed:
+        removed = False
+        for x in sorted(live, reverse=True):
+            if beat(x):
+                live.remove(x)
+                removed = True
+    return sorted(live)
 
 
 def facets(C: SimplicialComplex) -> list:

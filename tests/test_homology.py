@@ -2,7 +2,9 @@
 the old Euclidean engine, classical fixtures with known homology, and
 the sphericity and Cohen-Macaulay checkers."""
 
+import functools
 import json
+import os
 import random
 import subprocess
 import sys
@@ -13,6 +15,7 @@ from sympy import Matrix
 from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
 from quillen import constructions as cs
+from quillen import homology
 from quillen import poset as ps
 from quillen.group import group_from_generators
 from quillen.homology import (
@@ -25,6 +28,7 @@ from quillen.homology import (
     boundary_matrix,
     is_cohen_macaulay,
     join_homology,
+    poset_homology,
     reduced_homology,
     smith_normal_form,
     sphericity,
@@ -374,6 +378,9 @@ def test_torus_complex_of_s3_to_the_fourth():
     assert prof.betti_of(3) == 16 and prof.torsion_of(3) == ()
     cm = T.cohen_macaulay
     assert cm.cohen_macaulay and cm.profile is prof
+    # the profile comes from the beat-point core, which is not a point
+    assert len(T.poset.core()) == 255
+    assert prof.to_json() == reduced_homology(C).to_json()
 
 
 # -- profiles -----------------------------------------------------------
@@ -475,14 +482,34 @@ def test_interval_cm_matches_sweep_on_catalog(name):
             _assert_interval_check_matches_sweep(G, p)
 
 
-@pytest.mark.parametrize("factors,p", [
+PRODUCTS = pytest.mark.parametrize("factors,p", [
     (("S3", "S3", "S3"), 2), (("D10", "D14"), 2), (("S3", "D14"), 2),
     (("D14", "D14"), 2), (("S3", "D10"), 2), (("S3", "S3"), 2),
     (("C7:C3", "C7:C3"), 3), (("D10", "S3", "S3"), 2)],
     ids=lambda v: "x".join(v) if isinstance(v, tuple) else f"p{v}")
+
+
+def _product(factors):
+    return cs.direct_product([cs.dihedral(int(f[1:])) if f[0] == "D"
+                              else cs.catalog_group(f) for f in factors])
+
+
+def _wreath_products() -> dict:
+    """S3 wr C2 and C2 wr C4 at p = 2, C3 wr C3 at p = 3."""
+    return {
+        "S3wrC2": (group_from_generators(6, [
+            _perm(6, [[1, 2, 3]]), _perm(6, [[1, 2]]),
+            _perm(6, [[1, 4], [2, 5], [3, 6]])]), 2),
+        "C2wrC4": (group_from_generators(8, [
+            _perm(8, [[1, 2]]), _perm(8, [[1, 3, 5, 7], [2, 4, 6, 8]])]), 2),
+        "C3wrC3": (group_from_generators(9, [
+            _perm(9, [[1, 2, 3]]),
+            _perm(9, [[1, 4, 7], [2, 5, 8], [3, 6, 9]])]), 3)}
+
+
+@PRODUCTS
 def test_interval_cm_matches_sweep_on_products(factors, p):
-    G = cs.direct_product([cs.dihedral(int(f[1:])) if f[0] == "D"
-                           else cs.catalog_group(f) for f in factors])
+    G = _product(factors)
     assert _assert_interval_check_matches_sweep(G, p).cohen_macaulay
 
 
@@ -490,19 +517,115 @@ def test_interval_cm_on_wreath_products():
     """C2 wr C4 at p = 2 and C3 wr C3 at p = 3 are not Cohen-Macaulay:
     their complexes are spherical, but an upper interval is not.  S3 wr
     C2 at p = 2 is, with intervals that are spheres, not acyclic."""
-    s3wrc2 = group_from_generators(6, [
-        _perm(6, [[1, 2, 3]]), _perm(6, [[1, 2]]),
-        _perm(6, [[1, 4], [2, 5], [3, 6]])])
-    assert _assert_interval_check_matches_sweep(s3wrc2, 2).cohen_macaulay
-    c2wrc4 = group_from_generators(8, [
-        _perm(8, [[1, 2]]), _perm(8, [[1, 3, 5, 7], [2, 4, 6, 8]])])
-    v = _assert_interval_check_matches_sweep(c2wrc4, 2)
+    W = _wreath_products()
+    assert _assert_interval_check_matches_sweep(*W["S3wrC2"]).cohen_macaulay
+    v = _assert_interval_check_matches_sweep(*W["C2wrC4"])
     assert v.homology_spherical and not v.cohen_macaulay
     assert v.witness == ("link of [44] (dim 0): not 2-spherical (nonzero "
                          "homology in degrees [1]); H~_1=Z^2")
-    c3wrc3 = group_from_generators(9, [
-        _perm(9, [[1, 2, 3]]), _perm(9, [[1, 4, 7], [2, 5, 8], [3, 6, 9]])])
-    v = _assert_interval_check_matches_sweep(c3wrc3, 3)
+    v = _assert_interval_check_matches_sweep(*W["C3wrC3"])
     assert v.homology_spherical and not v.cohen_macaulay
     assert v.witness == ("link of [8] (dim 0): not 1-spherical (nonzero "
                          "homology in degrees [0]); H~_0=Z^3")
+
+
+# -- poset homology from the beat-point core vs the full complex --------
+
+@functools.lru_cache(maxsize=None)
+def _catalog_posets() -> dict:
+    """A_p and S_p of every catalog group at every prime dividing its
+    order, keyed (name, p, "A" or "S").  S_2 of C3^4:(SD16oD8) is left
+    out: it has 13644 nodes and takes about 8 s to enumerate."""
+    out = {}
+    for name in cs.catalog_names():
+        G = cs.catalog_group(name)
+        for p in (2, 3, 5, 7):
+            if G.order % p == 0:
+                out[name, p, "A"] = ps.quillen_poset(G, p)
+                if (name, p) != ("C3^4:(SD16oD8)", 2):
+                    out[name, p, "S"] = ps.brown_poset(G, p)
+    return out
+
+
+def _manifest_rows() -> list:
+    path = os.path.join(os.path.dirname(cs.__file__), "suite_manifest.json")
+    with open(path) as fh:
+        return sorted({(i["name"], i["prime"])
+                       for i in json.load(fh)["instances"]})
+
+
+def _assert_core_homology(P):
+    assert poset_homology(P).to_json() == \
+        reduced_homology(ps.order_complex(P)).to_json()
+
+
+def _assert_torus_posets(A):
+    """A_p(G) and the upper interval of one torus per class, the
+    intervals that `TorusComplex.cohen_macaulay` reads."""
+    _assert_core_homology(A)
+    for x, *_ in ps.conjugacy_classes(A):
+        _assert_core_homology(A.induced(sorted(A.above[x])))
+
+
+@pytest.mark.parametrize("name,p", _manifest_rows(),
+                         ids=lambda v: str(v))
+def test_poset_homology_matches_the_complex_on_manifest_rows(name, p):
+    posets = _catalog_posets()
+    _assert_torus_posets(posets[name, p, "A"])
+    if (name, p, "S") in posets:
+        _assert_core_homology(posets[name, p, "S"])
+
+
+@PRODUCTS
+def test_poset_homology_matches_the_complex_on_products(factors, p):
+    _assert_torus_posets(ps.quillen_poset(_product(factors), p))
+
+
+def test_poset_homology_matches_the_complex_on_wreath_products():
+    for G, p in _wreath_products().values():
+        _assert_torus_posets(ps.quillen_poset(G, p))
+
+
+def test_a_poset_with_a_maximum_or_a_minimum_cores_to_a_point(monkeypatch):
+    """S_p of a p-group has the group as its maximum, and Ab(D) has the
+    trivial subgroup as its minimum.  Their one-point cores give the
+    trivial profile in the whole complex's dimension, and no complex is
+    built."""
+    def no_complex(P):
+        raise AssertionError("an order complex was built")
+
+    monkeypatch.setattr(homology, "order_complex", no_complex)
+    for name, p in (("D8", 2), ("Q8", 2), ("ES27+", 3), ("D8oD8", 2)):
+        G = cs.catalog_group(name)
+        for P in (ps.brown_poset(G, p), ps.ab_poset(G)):
+            assert len(P.core()) == 1
+            h = poset_homology(P)
+            assert h.is_trivial() and h.dim == P.height() > 0
+
+
+def test_c3_to_the_fourth_torus_poset_is_its_own_core():
+    A = _catalog_posets()["C3^4:(SD16oD8)", 2, "A"]
+    assert len(A) == 2304 and A.core() == list(range(2304))
+
+
+def test_empty_poset_homology():
+    P = ps.SubgroupPoset(cs.catalog_group("S3"), [])
+    assert P.height() == -1 and P.core() == []
+    assert poset_homology(P).to_json() == \
+        [{"degree": -1, "betti": 1, "torsion": []}]
+
+
+def test_height_is_the_order_complex_dimension_on_the_catalog():
+    for key, P in _catalog_posets().items():
+        assert P.height() == ps.order_complex(P).dim, key
+
+
+def test_core_size_does_not_depend_on_the_removal_order():
+    """Cores are unique up to isomorphism (Stong 1966): removing beat
+    points from the last node down leaves a core of the same size, on
+    every catalog poset and on A_2(S3^4), whose core has 255 nodes."""
+    S3 = cs.catalog_group("S3")
+    posets = {**_catalog_posets(),
+              "S3^4": ps.quillen_poset(cs.direct_product([S3] * 4), 2)}
+    for key, P in posets.items():
+        assert len(oracles.beat_core_from_the_top(P)) == len(P.core()), key
