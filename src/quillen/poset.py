@@ -171,14 +171,9 @@ class SimplicialComplex:
     faces and always containing the empty simplex."""
 
     def __init__(self, simplices: Iterable[frozenset], close: bool = False):
-        simps = set(map(frozenset, simplices))
+        simps = set(map(frozenset, _closure(simplices) if close
+                        else simplices))
         simps.add(frozenset())
-        if close:
-            closed = set()
-            for s in simps:
-                for k in range(len(s) + 1):
-                    closed.update(map(frozenset, itertools.combinations(s, k)))
-            simps = closed
         self.simplices = frozenset(simps)
         self.vertices = sorted(set().union(*simps)) if simps else []
         self.dim = max((len(s) for s in simps), default=0) - 1
@@ -226,6 +221,20 @@ class SimplicialComplex:
                 continue
             simps.append(frozenset(int(t) for t in line.split()))
         return SimplicialComplex(simps, close=True)
+
+
+def _closure(simplices: Iterable) -> set:
+    """Every face of the given simplices, as sorted vertex tuples, from
+    the top down: each step adds the codimension-1 faces of the simplices
+    that the step before added."""
+    layer = {tuple(sorted(s)) for s in simplices}
+    closed = set(layer)
+    while layer:
+        layer = set(itertools.chain.from_iterable(
+            itertools.combinations(t, len(t) - 1) for t in layer if t))
+        layer -= closed
+        closed |= layer
+    return closed
 
 
 def order_complex(P: SubgroupPoset) -> SimplicialComplex:

@@ -1,6 +1,7 @@
 """Reference constructions that only the tests use: poset intervals, the
-Hasse diagram, a beat-point core, facets and the reduced Euler
-characteristic, each by the direct definition; the join and the one-point wedge as explicit
+Hasse diagram, a beat-point core, the closure of a facet list under
+faces, facets and the reduced Euler characteristic, each by the direct
+definition; the join and the one-point wedge as explicit
 complexes, the oracle for `join_homology` and `wedge_homology`;
 normalizers, the list of Sylow subgroups and the rank read off every
 torus; the subgroup enumerators' old engine, which asks a member
@@ -13,10 +14,13 @@ projection, and the wedge formula's right-hand side over a quotient
 group, assembled as an explicit wedge of joins; every
 subgroup by exhaustive search, the enumerators' oracle, and the elements
 of a given order; the Smith normal form's old Euclidean engine, with
-its divisibility chain by prime factorization; and the structure
-splits' old engines: the greedy complement grown by subgroup closure,
-and the extraspecial E lifted from a symplectic basis of D/Z(D)."""
+its divisibility chain by prime factorization; reduced homology from
+the full boundary matrices of every degree, with no coreduction; and
+the structure splits' old engines: the greedy complement grown by
+subgroup closure, and the extraspecial E lifted from a symplectic basis
+of D/Z(D)."""
 
+import itertools
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -32,7 +36,11 @@ from quillen.errors import (
     QuillenError,
 )
 from quillen.group import DEFAULT_ELEMENT_CAP, Group, Subgroup
-from quillen.homology import reduced_homology
+from quillen.homology import (
+    HomologyProfile,
+    reduced_homology,
+    smith_normal_form,
+)
 from quillen.poset import SimplicialComplex, SubgroupPoset
 from quillen.theorems import TheoremVerdict
 
@@ -80,6 +88,16 @@ def beat_core_from_the_top(P: SubgroupPoset) -> list:
                 live.remove(x)
                 removed = True
     return sorted(live)
+
+
+def close_by_combinations(simplices) -> set:
+    """Every face of the given simplices, as frozensets: each simplex
+    lists all of its subsets, the empty one included."""
+    closed = {frozenset()}
+    for s in map(frozenset, simplices):
+        for k in range(len(s) + 1):
+            closed.update(map(frozenset, itertools.combinations(s, k)))
+    return closed
 
 
 def facets(C: SimplicialComplex) -> list:
@@ -418,6 +436,57 @@ def factorize(n: int) -> dict:
     if n > 1:
         out[n] = out.get(n, 0) + 1
     return out
+
+
+# -- the old homology engine: full boundary matrices, no coreduction ---
+
+@dataclass(frozen=True)
+class BoundaryMatrix:
+    """Augmented simplicial boundary operator in degree k (columns are
+    k-simplices, rows (k-1)-simplices; degree 0 maps onto the empty
+    simplex)."""
+    degree: int
+    row_simplices: tuple
+    col_simplices: tuple
+    entries: dict  # (i, j) -> +-1
+
+    @property
+    def shape(self):
+        return (len(self.row_simplices), len(self.col_simplices))
+
+
+def boundary_matrix(C: SimplicialComplex, k: int) -> BoundaryMatrix:
+    rows = C.simplices_of_dim(k - 1)
+    cols = C.simplices_of_dim(k)
+    rindex = {s: i for i, s in enumerate(rows)}
+    entries = {}
+    for j, s in enumerate(cols):
+        vs = sorted(s)
+        for pos in range(len(vs)):
+            face = frozenset(vs[:pos] + vs[pos + 1:])
+            entries[(rindex[face], j)] = (-1) ** pos
+    return BoundaryMatrix(k, tuple(rows), tuple(cols), entries)
+
+
+def reduced_homology_by_snf(C: SimplicialComplex) -> HomologyProfile:
+    """Reduced homology from the Smith normal form of every full
+    augmented boundary matrix, with no coreduction."""
+    d = C.dim
+    nsimp = {q: C.n_simplices(q) for q in range(-1, d + 1)}
+    snf = {}
+    for k in range(0, d + 1):
+        B = boundary_matrix(C, k)
+        snf[k] = smith_normal_form(B.entries) if B.entries else ((), 0)
+    betti = []
+    torsion = []
+    for q in range(-1, d + 1):
+        rank_q = snf[q][1] if q in snf else 0
+        rank_q1 = snf[q + 1][1] if (q + 1) in snf else 0
+        betti.append(nsimp[q] - rank_q - rank_q1)
+        tors = tuple(f for f in (snf[q + 1][0] if (q + 1) in snf else ())
+                     if f > 1)
+        torsion.append(tors)
+    return HomologyProfile(d, tuple(betti), tuple(torsion))
 
 
 # -- groups from multiplication tables ----------------------------------

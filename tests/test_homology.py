@@ -21,6 +21,8 @@ from quillen.group import group_from_generators
 from quillen.homology import (
     HomologyProfile,
     TorusComplex,
+    _cells,
+    _coreduce,
     _eliminate,
     _invariant_factors,
     _to_sparse,
@@ -84,23 +86,45 @@ def test_snf_matches_sympy(rows):
 
 # -- boundary matrices --------------------------------------------------
 
-def test_boundary_squares_to_zero():
-    C = ps.SimplicialComplex([[0, 1, 2, 3]], close=True)
-    for k in range(0, C.dim + 1):
-        Bk = boundary_matrix(C, k)
-        Bk1 = boundary_matrix(C, k + 1)
-        # compose: rows of Bk x cols of Bk1
+def _boundaries(faces, cells):
+    """`boundary_matrix` between the given cells, one per degree k >= 0."""
+    by_degree = {}
+    for c in cells:
+        by_degree.setdefault(len(faces[c]) - 1, []).append(c)
+    return {k: boundary_matrix(faces, set(by_degree.get(k - 1, ())), cols)
+            for k, cols in by_degree.items() if k >= 0}
+
+
+def _assert_squares_to_zero(B):
+    for k in B:
+        into = {}  # column of the boundary from degree k -> its entries
+        for (i, j), v in B[k].items():
+            into.setdefault(j, []).append((i, v))
         prod = {}
-        for (i, j), v in Bk.entries.items():
-            for (j2, l), w in Bk1.entries.items():
-                if j == j2:
-                    prod[(i, l)] = prod.get((i, l), 0) + v * w
-        assert all(v == 0 for v in prod.values())
+        for (j, l), w in B.get(k + 1, {}).items():
+            for i, v in into.get(j, ()):
+                prod[i, l] = prod.get((i, l), 0) + v * w
+        assert not any(prod.values()), k
+
+
+def test_boundary_squares_to_zero():
+    """On all cells, and restricted to the cells coreduction leaves: the
+    restriction is a chain complex too."""
+    for C in (ps.SimplicialComplex([[0, 1, 2, 3]], close=True),
+              ps.SimplicialComplex(RP2_FACETS, close=True)):
+        faces = _cells(C)
+        alive = _coreduce(faces)
+        _assert_squares_to_zero(_boundaries(faces, range(len(faces))))
+        _assert_squares_to_zero(_boundaries(
+            faces, [c for c in range(len(faces)) if alive[c]]))
 
 
 def test_degree_zero_boundary_is_augmentation():
     C = ps.SimplicialComplex([[0], [1]], close=True)
-    B = boundary_matrix(C, 0)
+    faces = _cells(C)
+    assert faces == [(), (0,), (0,)]
+    assert boundary_matrix(faces, {0}, [1, 2]) == {(0, 1): 1, (0, 2): 1}
+    B = oracles.boundary_matrix(C, 0)
     assert B.shape == (1, 2)
     assert set(B.entries.values()) == {1}
 
@@ -225,6 +249,88 @@ def test_euler_characteristic_consistency():
         assert chi == oracles.euler_characteristic_reduced(C)
 
 
+# -- coreduction vs the full boundary matrices --------------------------
+
+def _assert_matches_full_snf(C):
+    assert reduced_homology(C).to_json() == \
+        oracles.reduced_homology_by_snf(C).to_json()
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.lists(st.sets(st.integers(0, 8), max_size=4), max_size=9))
+def test_coreduced_homology_matches_the_full_snf(facets):
+    """Random complexes: disconnected, single-vertex and vertex-free ones
+    come up as the facet lists are drawn."""
+    _assert_matches_full_snf(ps.SimplicialComplex(facets, close=True))
+
+
+def _relabel(C, rng):
+    """C with its vertex ids permuted by a shuffle from ``rng``."""
+    ids = list(C.vertices)
+    rng.shuffle(ids)
+    ren = dict(zip(C.vertices, ids))
+    return ps.SimplicialComplex(frozenset(ren[v] for v in s)
+                                for s in C.simplices)
+
+
+def test_coreduced_homology_on_fixtures():
+    """The vertex-free complex, a point, disjoint pieces, RP2 and
+    RP2 * RP2 (whose Tor term gives H~_4 = Z/2), and a wedge of circles
+    and projective planes under seeded relabellings of its vertices."""
+    rp2_twice = ps.SimplicialComplex(
+        RP2_FACETS + [tuple(v + 6 for v in f) for f in RP2_FACETS],
+        close=True)
+    for C in (VERTEX_FREE, ps.SimplicialComplex([[4]], close=True),
+              rp2_twice, ps.SimplicialComplex([[0, 1], [2, 3], [5]],
+                                              close=True),
+              RP2, oracles.join(RP2, RP2)):
+        _assert_matches_full_snf(C)
+    W = oracles.wedge(oracles.WedgeAssembly(
+        CIRCLE, ((RP2, 0), (CIRCLE, 1), (RP2, 2), (CIRCLE, 2))))
+    assert reduced_homology(W).describe() == "H~_1=Z^3+Z/2+Z/2"
+    for seed in range(8):
+        _assert_matches_full_snf(_relabel(W, random.Random(seed)))
+
+
+def _building_gl3_f2():
+    """The Tits building of GL3(F2): the incidence graph of the 7 points
+    (nonzero vectors v) and 7 lines (normals n, the v with v.n = 0) of
+    the projective plane over F2; H~_1 = Z^8."""
+    return ps.SimplicialComplex(
+        [(v, 7 + n) for v in range(1, 8) for n in range(1, 8)
+         if bin(v & n).count("1") % 2 == 0], close=True)
+
+
+def _snf_inputs(monkeypatch, C):
+    """(profile, nonzeros of each matrix `smith_normal_form` received)."""
+    seen = []
+    snf = homology.smith_normal_form
+
+    def recorded(matrix):
+        seen.append(len(matrix))
+        return snf(matrix)
+
+    monkeypatch.setattr(homology, "smith_normal_form", recorded)
+    return reduced_homology(C), seen
+
+
+def test_coreduction_leaves_the_snf_a_small_residual(monkeypatch):
+    """Coreduction pairs off every cell of the building that homology
+    does not need, so the Smith normal form gets no nonzero entry; on
+    RP2 * B(GL3(F2)), 1152 simplices whose full boundary matrices hold
+    4168 nonzeros, it gets the few entries the torsion (Z/2)^8 needs."""
+    B = _building_gl3_f2()
+    prof, seen = _snf_inputs(monkeypatch, B)
+    assert prof.describe() == "H~_1=Z^8" and sum(seen) == 0
+    J = oracles.join(RP2, B)
+    full = sum(len(oracles.boundary_matrix(J, k).entries)
+               for k in range(J.dim + 1))
+    prof, seen = _snf_inputs(monkeypatch, J)
+    assert prof.torsion_of(3) == (2,) * 8 and prof.nonzero_degrees() == (3,)
+    assert (len(J.simplices), full) == (1152, 4168)
+    assert 0 < sum(seen) <= 100
+
+
 # -- unit pivots + residual vs the old Euclidean engine -----------------
 
 def _old_engine(matrix):
@@ -343,7 +449,7 @@ def test_snf_does_not_stall_on_unit_free_25x25():
 def test_snf_on_boundaries_of_random_complexes(facets):
     C = ps.SimplicialComplex(facets, close=True)
     for k in range(0, C.dim + 1):
-        B = boundary_matrix(C, k)
+        B = oracles.boundary_matrix(C, k)
         _assert_snf_agrees(B.entries, _dense(B))
 
 
@@ -351,7 +457,7 @@ def _residual_torsion(C, dense):
     """Invariant factors > 1 of every residual block of C's boundaries."""
     out = []
     for k in range(0, C.dim + 1):
-        B = boundary_matrix(C, k)
+        B = oracles.boundary_matrix(C, k)
         _, residual = _assert_snf_agrees(B.entries,
                                          _dense(B) if dense else None)
         out += [f for f in _invariant_factors(residual) if f > 1]
@@ -556,7 +662,7 @@ def _manifest_rows() -> list:
 
 def _assert_core_homology(P):
     assert poset_homology(P).to_json() == \
-        reduced_homology(ps.order_complex(P)).to_json()
+        oracles.reduced_homology_by_snf(ps.order_complex(P)).to_json()
 
 
 def _assert_torus_posets(A):

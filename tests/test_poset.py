@@ -2,6 +2,7 @@
 order complexes, links, joins, wedges, and the text format."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from quillen import constructions as cs
 from quillen import group as gp
@@ -144,6 +145,16 @@ def test_close_under_faces():
     assert C.n_simplices(1) == 3
     assert C.n_simplices(0) == 3
     assert frozenset([0, 2]) in C
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.sets(st.integers(0, 9), max_size=6), max_size=10))
+def test_closure_matches_every_subset(facets):
+    """Closing by codimension-1 steps from the top gives the complex that
+    listing every subset of every facet gives, on random facet lists
+    (empty, repeated and nested facets among them)."""
+    C = ps.SimplicialComplex(facets, close=True)
+    assert C.simplices == oracles.close_by_combinations(facets)
 
 
 def test_simplices_bucketed_by_dimension():
