@@ -65,20 +65,23 @@ def _load_spec(args) -> tuple:
                 "group_spec": spec.to_json()}, spec
     if not args.spec:
         raise InvalidSpec("a group is required: --name NAME or a spec file")
-    if args.spec == "-":
-        text = sys.stdin.read()
-    else:
-        try:
-            with open(args.spec) as fh:
-                text = fh.read()
-        except OSError as e:
-            raise InvalidSpec(f"cannot read spec file: {e}")
     try:
-        data = json.loads(text)
+        data = json.loads(_read_input(args.spec, "spec"))
     except json.JSONDecodeError as e:
         raise InvalidSpec(f"spec file is not valid JSON: {e}")
     spec = cs.GroupSpec.from_json(data)
     return {"group_spec": spec.to_json()}, spec
+
+
+def _read_input(path: str, what: str) -> str:
+    """The text of the file at ``path``, or of stdin for ``-``."""
+    if path == "-":
+        return sys.stdin.read()
+    try:
+        with open(path) as fh:
+            return fh.read()
+    except OSError as e:
+        raise InvalidSpec(f"cannot read {what} file: {e}")
 
 
 def _load_group(args) -> tuple:
@@ -258,15 +261,7 @@ def cmd_main_check(args) -> int:
 
 
 def cmd_homology(args) -> int:
-    if args.file == "-":
-        text = sys.stdin.read()
-    else:
-        try:
-            with open(args.file) as fh:
-                text = fh.read()
-        except OSError as e:
-            raise InvalidSpec(f"cannot read complex file: {e}")
-    C = ps.SimplicialComplex.import_text(text)
+    C = ps.SimplicialComplex.import_text(_read_input(args.file, "complex"))
     prof = reduced_homology(C)
     out = {"version": VERSION, "command": "homology", "dim": C.dim,
            "profile": prof.to_json(), "caveat": HOMOLOGY_PROXY_CAVEAT}

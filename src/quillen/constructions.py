@@ -330,7 +330,7 @@ def central_product_by_order(A: Group, B: Group, k: int,
 
 def _canonical_central_of_order(G: Group, k: int) -> int:
     Z = gp.center(G)
-    cands = [z for z in Z.members if G.element_order(z) == k]
+    cands = [z for z in Z.members if G.orders[z] == k]
     if not cands:
         raise NotCentral(f"no central element of order {k}")
     return cands[0]
@@ -497,7 +497,7 @@ def _c3c3_sl23_spec() -> GroupSpec:
     vecs = [(a, b) for a in range(3) for b in range(3) if (a, b) != (0, 0)]
 
     def nv(v):  # the vector v written in N
-        return N.mul(N.power(ngens[0], v[0]), N.power(ngens[1], v[1]))
+        return N.mul(N.powers(v[0])[ngens[0]], N.powers(v[1])[ngens[1]])
 
     rows = []
     for hgen in H.generators:
@@ -527,7 +527,7 @@ def _c7_c3_spec() -> GroupSpec:
     g = list(N.generators)[0]
     return GroupSpec("semidirect_product",
                      {"n": n, "h": GroupSpec("cyclic", {"order": 3}),
-                      "action": {"gen_images": [[N.power(g, 2)]]}})
+                      "action": {"gen_images": [[int(N.powers(2)[g])]]}})
 
 
 def _c5_v4_spec() -> GroupSpec:
@@ -553,8 +553,7 @@ def _c3_d16xc2_spec() -> GroupSpec:
     g = list(N.generators)[0]
     rows = []
     for hgen in H.generators:
-        o = H.element_order(hgen)
-        rows.append([N.inv(g)] if o == 2 else [g])
+        rows.append([N.inv(g)] if H.orders[hgen] == 2 else [g])
     return GroupSpec("semidirect_product",
                      {"n": n, "h": h, "action": {"gen_images": rows}})
 

@@ -9,16 +9,20 @@ left multiplication: the elements are enumerated as numpy arrays of
 images, and the table is filled row by row, only the generators' rows
 by lookup and every other row x = g*w as row g read at row w.  Its ids
 are int16, 2*order^2 bytes, so no group beyond TABLE_ORDER_CAP elements
-is built, whatever the caller's cap.  numpy is imported by the
-functions that use it, so that importing the package, and commands that
-build no group, do not load it.  Subgroups are immutable member-id sets
-inside a parent group.
+is built, whatever the caller's cap.  Element powers and orders are
+whole-id arrays: ``powers(k)`` squares and multiplies table rows, and
+``orders`` is read off it one prime at a time, so a p-element is an x
+with x^(p-part of |G|) = 1.  numpy is imported by the functions that
+use it, so that importing the package, and commands that build no
+group, do not load it.  Subgroups are immutable member-id sets inside a
+parent group.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
 from .errors import (
@@ -65,7 +69,6 @@ class Group:
         assert self.identity == 0, "identity must sort first"
         self.table = self._build_table()
         self.inverse = self._build_inverses()
-        self._order_of = None
 
     # -- construction ---------------------------------------------------
 
@@ -115,28 +118,36 @@ class Group:
         t = self.table
         return int(t[t[t[self.inverse[a], self.inverse[b]], a], b])
 
-    def power(self, a: int, k: int) -> int:
-        if k < 0:
-            a, k = self.inv(a), -k
-        r = self.identity
-        while k:
-            if k & 1:
-                r = self.mul(r, a)
-            a = self.mul(a, a)
-            k >>= 1
+    def powers(self, k: int) -> np.ndarray:
+        """x^k for every id x, k >= 0, by square-and-multiply on whole
+        rows, from the leading bit of k down: ``powers(k)[x]`` is the id
+        of x^k."""
+        import numpy as np
+        t = self.table
+        x = np.arange(self.order, dtype=t.dtype)
+        r = x if k else np.zeros_like(x)
+        for bit in bin(k)[3:]:
+            r = t[r, r]
+            if bit == "1":
+                r = t[r, x]
         return r
 
-    def element_order(self, a: int) -> int:
-        if self._order_of is None:
-            self._order_of = {}
-        o = self._order_of.get(a)
-        if o is None:
-            o, x = 1, a
-            while x != self.identity:
-                x = self.mul(x, a)
-                o += 1
-            self._order_of[a] = o
-        return o
+    @cached_property
+    def orders(self) -> np.ndarray:
+        """|x| for every id x.  With q^a the exact power of the prime q in
+        |G| and m = |G|/q^a, the q-part of |x| is the least q^e with
+        x^(m*q^e) = 1, and x^(m*q^(e+1)) is the q-th power of x^(m*q^e)."""
+        import numpy as np
+        orders, n, q = np.ones(self.order, dtype=np.int64), self.order, 1
+        while n > 1:
+            q += 1
+            if n % q:
+                continue
+            x, qth = self.powers(_p_prime_part(self.order, q)), self.powers(q)
+            while n % q == 0:
+                orders[x != self.identity] *= q
+                x, n = qth[x], n // q
+        return orders
 
     # -- subgroup plumbing ----------------------------------------------
 
@@ -212,9 +223,9 @@ def _small_witness(G: Group, members: frozenset) -> tuple:
     """Greedy small generating set for a known-closed member set."""
     if len(members) == 1:
         return ()
-    gens = []
+    gens, o = [], G.orders
     have = {G.identity}
-    for x in sorted(members, key=lambda a: (-G.element_order(a), a)):
+    for x in sorted(members, key=lambda a: (-o[a], a)):
         if x not in have:
             gens.append(x)
             have = set(G.closure(gens))
@@ -373,14 +384,12 @@ def _normalizing(G: Group, H: Iterable[int], gens: Sequence[int], cand) -> list:
 
 def is_cyclic(S) -> bool:
     S = _as_subgroup(S)
-    G = S.parent
-    return any(G.element_order(x) == S.order for x in S.members)
+    return S.order in S.parent.orders[list(S.members)]
 
 
 def exponent(S) -> int:
     S = _as_subgroup(S)
-    G = S.parent
-    return math.lcm(*(G.element_order(x) for x in S.members))
+    return math.lcm(*S.parent.orders[list(S.members)].tolist())
 
 
 def is_p_group(S, p: int) -> bool:
@@ -398,20 +407,17 @@ def omega1(P, p: int) -> Subgroup:
     if not is_p_group(P, p):
         raise NotAPGroup(f"omega1 requires a {p}-group, order {P.order}")
     G = P.parent
-    gens = [x for x in P.members if x != G.identity and G.element_order(x) == p]
-    return Subgroup(G, G.closure(gens))
+    return Subgroup(G, G.closure(_ambient(P, G.orders == p)))
 
 
 def sylow_subgroup(G: Group, p: int) -> Subgroup:
     """Deterministic Sylow p-subgroup: from 1, step H -> H<g> with the
     least g outside H that normalizes H with g^p in H, masking only the
-    ids whose p-th power lies in H.  Such a g exists until H is Sylow,
-    since p then divides |N_G(H) : H|."""
+    ids whose p-th power ``G.powers(p)`` lies in H.  Such a g exists
+    until H is Sylow, since p then divides |N_G(H) : H|."""
     import numpy as np
-    n, gens, t = _p_prime_part(G.order, p), (), G.table
-    H, pth, sq = frozenset([G.identity]), G.identity, np.arange(G.order)
-    for bit in bin(p)[:1:-1]:  # pth[x] = x^p, by square-and-multiply on all ids
-        pth, sq = (t[pth, sq] if bit == "1" else pth), t[sq, sq]
+    n, gens, pth = _p_prime_part(G.order, p), (), G.powers(p)
+    H = frozenset([G.identity])
     while len(H) * n < G.order:
         inside = np.bincount(list(H), minlength=G.order) > 0
         g = _normalizing(G, H, gens, np.flatnonzero(inside[pth] > inside))[0]
@@ -450,17 +456,17 @@ def o_p_prime(G: Group, p: int, N: Optional[Subgroup] = None) -> Subgroup:
     subgroup N (default 1): the preimage of O_p'(G/N).  Grown greedily
     from M = N: x joins when <M, x^G> has p'-index over N, which holds
     exactly when xN lies in O_p'(G/N), so each class of cosets x^G N is
-    tried once; x is skipped when xN has order divisible by p."""
+    tried once.  Only the xN of p'-order are tried: those with
+    x^(p'-part of |G|) in N."""
     import numpy as np
     M = N if N is not None else G.trivial_subgroup()
-    n, ns, Nm = M.order, M.member_set, M.members
-    done = set(ns)  # a union of cosets of N
+    n, Nm = M.order, M.members
+    done = set(Nm)  # a union of cosets of N
     t, every = G.table, np.arange(G.order)
-    for x in range(G.order):
+    inside = np.bincount(Nm, minlength=G.order) > 0  # the members of N
+    for x in np.flatnonzero(inside[G.powers(_p_prime_part(G.order, p))]).tolist():
         if x in done:
             continue
-        if G.power(x, _p_prime_part(G.element_order(x), p)) not in ns:
-            continue  # xN has order divisible by p
         for y in set(t[t[G.inverse, x], every].tolist()):  # x^G
             if y not in done:
                 done.update(t[y, Nm].tolist())
@@ -557,16 +563,16 @@ def elementary_abelian_subgroups(S, p: int) -> dict:
     1 by centralizing order-p elements."""
     S = _as_subgroup(S)
     G = S.parent
-    return dict(_grow(G, _ambient(S, lambda o: o == p),
+    return dict(_grow(G, _ambient(S, G.orders == p),
                       frozenset([G.identity]), (),
                       lambda H, gens, cand: _commuting(G, gens, cand))[1:])
 
 
-def _ambient(S: Subgroup, keep) -> frozenset:
-    """The identity and the members of S whose order passes ``keep``."""
-    G = S.parent
-    return frozenset(x for x in S.members
-                     if x == G.identity or keep(G.element_order(x)))
+def _ambient(S: Subgroup, mask) -> frozenset:
+    """The identity and the members x of S with ``mask[x]`` true."""
+    import numpy as np
+    ids = np.array(S.members)
+    return frozenset([S.parent.identity, *ids[mask[ids]].tolist()])
 
 
 def _grow(G: Group, amb: frozenset, start: frozenset, gens: tuple,
@@ -624,7 +630,7 @@ def rank(P, p: int) -> int:
     if P.order == 1:
         return 0
     G, Z = P.parent, omega1(center(P), p)
-    tori = _grow(G, _ambient(P, lambda o: o == p), Z.member_set, Z.generator_witness,
+    tori = _grow(G, _ambient(P, G.orders == p), Z.member_set, Z.generator_witness,
                  lambda H, gens, cand: _commuting(G, gens, cand))
     return _p_rank(len(tori[-1][0]), p)
 
@@ -636,7 +642,7 @@ def frattini_subgroup(P, p: int) -> Subgroup:
         raise NotAPGroup("frattini_subgroup requires a p-group")
     G = P.parent
     gens = set(derived_subgroup(P).members)
-    gens.update(G.power(x, p) for x in P.members)
+    gens.update(G.powers(p)[list(P.members)].tolist())
     return Subgroup(G, G.closure(gens))
 
 
@@ -663,25 +669,19 @@ def is_semidihedral_2group(S) -> bool:
 
 
 def _dihedral_like(S, twist) -> bool:
+    import numpy as np
     S = _as_subgroup(S)
     G = S.parent
-    n = S.order
-    if n < 8 or not is_p_group(S, 2):
+    if S.order < 8 or not is_p_group(S, 2):
         return False
-    m = n // 2
-    t = twist(m)
-    for x in S.members:
-        if G.element_order(x) != m:
-            continue
-        X = G.closure([x])
-        target = G.power(x, t)
-        for z in S.members:
-            if z in X or G.element_order(z) != 2:
-                continue
-            if G.conj(x, z) == target:
-                return True
-        return False  # all cyclic index-2 subgroups are conjugate-equivalent
-    return False
+    ids = np.array(S.members)
+    big = ids[G.orders[ids] == S.order // 2].tolist()
+    if not big:
+        return False
+    x = big[0]  # all cyclic index-2 subgroups are conjugate-equivalent
+    X, target = G.closure([x]), G.powers(twist(S.order // 2))[x]
+    return any(G.conj(x, z) == target and z not in X
+               for z in _ambient(S, G.orders == 2))
 
 
 # -- p-subgroup enumeration (for the Brown poset and Sylow counting) ----
@@ -693,7 +693,8 @@ def all_p_subgroups(S, p: int) -> dict:
     has a normal H of index p, and K = H<g> for every g of K outside H."""
     S = _as_subgroup(S)
     G = S.parent
-    return dict(_grow(G, _ambient(S, lambda o: _is_p_power(o, p)),
+    p_elements = G.powers(G.order // _p_prime_part(G.order, p)) == G.identity
+    return dict(_grow(G, _ambient(S, p_elements),
                       frozenset([G.identity]), (),
                       lambda H, gens, cand: _normalizing(G, H, gens, cand))[1:])
 

@@ -212,13 +212,12 @@ def _candidate_T(P: Subgroup, Pp: Subgroup) -> list:
     z outside C_P(P'), T = <x, z> dihedral or semidihedral."""
     G = P.parent
     C = gp.centralizer(P, Pp)
-    seen = {}
+    squares, seen = G.powers(2), {}
+    involutions = sorted(gp._ambient(P, G.orders == 2) - C.member_set)
     for x in P.members:
-        if G.closure([G.power(x, 2)]) != Pp.member_set:
+        if G.closure([int(squares[x])]) != Pp.member_set:
             continue
-        for z in P.members:
-            if G.element_order(z) != 2 or z in C.member_set:
-                continue
+        for z in involutions:
             T = gp.subgroup_generated(G, {x, z})
             if T.members in seen:
                 continue
@@ -463,8 +462,7 @@ def _looks_like_sl22(F: Group) -> bool:
 def _looks_like_sl23(F: Group) -> bool:
     return (F.order == 24 and gp.center(F).order == 2
             and gp.derived_subgroup(F).order == 8
-            and sum(1 for x in range(F.order)
-                    if F.element_order(x) == 2) == 1)
+            and int((F.orders == 2).sum()) == 1)
 
 
 def p_length_bound_check(G: Group, p: int) -> TheoremVerdict:

@@ -1,4 +1,6 @@
-"""Reference constructions that only the tests use: poset intervals, the
+"""Reference constructions that only the tests use: element orders and
+powers of one element by repeated multiplication and square-and-multiply,
+the oracles for `Group.orders` and `Group.powers`; poset intervals, the
 Hasse diagram, a beat-point core, the closure of a facet list under
 faces, facets and the reduced Euler characteristic, each by the direct
 definition; the join and the one-point wedge as explicit
@@ -23,6 +25,8 @@ of D/Z(D)."""
 import itertools
 from dataclasses import dataclass
 from typing import Optional, Sequence
+
+import numpy as np
 
 from quillen import group as gp
 from quillen import poset as ps
@@ -170,6 +174,31 @@ def normalizer(S, X) -> Subgroup:
     return Subgroup(G, members)
 
 
+def element_order(G: Group, a: int) -> int:
+    """|a|, by multiplying by a until the identity comes back."""
+    o, x = 1, a
+    while x != G.identity:
+        x = G.mul(x, a)
+        o += 1
+    return o
+
+
+def power(G: Group, a: int, k: int) -> int:
+    """a^k for k >= 0, by square-and-multiply on one element."""
+    r = G.identity
+    while k:
+        if k & 1:
+            r = G.mul(r, a)
+        a = G.mul(a, a)
+        k >>= 1
+    return r
+
+
+def _order_mask(G: Group, keep) -> np.ndarray:
+    """The ids whose order passes ``keep``, as an id mask."""
+    return np.array([keep(element_order(G, x)) for x in range(G.order)])
+
+
 def _centralizes(G: Group, g: int, H: frozenset) -> bool:
     t = G.table
     return all(t[g, x] == t[x, g] for x in H)
@@ -178,7 +207,7 @@ def _centralizes(G: Group, g: int, H: frozenset) -> bool:
 def _extends_p(G: Group, p: int, H: frozenset, g: int) -> bool:
     """Whether g, a p-element outside the p-subgroup H, normalizes H
     with g^p in H, so that H<g> is a p-subgroup of order p|H|."""
-    return (gp._is_p_power(G.element_order(g), p) and G.power(g, p) in H
+    return (gp._is_p_power(element_order(G, g), p) and power(G, g, p) in H
             and all(G.conj(x, g) in H for x in H))
 
 
@@ -208,7 +237,7 @@ def grow_by_predicate(G: Group, amb: frozenset, seeds, extends) -> list:
 def elementary_abelian_subgroups_by_predicate(S, p: int) -> list:
     S = gp._as_subgroup(S)
     G = S.parent
-    amb = gp._ambient(S, lambda o: o == p)
+    amb = gp._ambient(S, _order_mask(G, lambda o: o == p))
     seeds = (G.closure([x]) for x in sorted(amb) if x != G.identity)
     return grow_by_predicate(G, amb, seeds,
                              lambda H, g: _centralizes(G, g, H))
@@ -217,9 +246,9 @@ def elementary_abelian_subgroups_by_predicate(S, p: int) -> list:
 def all_p_subgroups_by_predicate(S, p: int) -> list:
     S = gp._as_subgroup(S)
     G = S.parent
-    amb = gp._ambient(S, lambda o: gp._is_p_power(o, p))
+    amb = gp._ambient(S, _order_mask(G, lambda o: gp._is_p_power(o, p)))
     seeds = (G.closure([x]) for x in sorted(amb)
-             if G.element_order(x) == p)
+             if element_order(G, x) == p)
     return grow_by_predicate(G, amb, seeds,
                              lambda H, g: _extends_p(G, p, H, g))
 
@@ -237,7 +266,7 @@ def rank_by_predicate(P, p: int) -> int:
     if P.order == 1:
         return 0
     G = P.parent
-    tori = grow_by_predicate(G, gp._ambient(P, lambda o: o == p),
+    tori = grow_by_predicate(G, gp._ambient(P, _order_mask(G, lambda o: o == p)),
                              [gp.omega1(gp.center(P), p).member_set],
                              lambda H, g: _centralizes(G, g, H))
     return gp._p_rank(len(tori[-1]), p)
@@ -274,7 +303,7 @@ def all_sylow_subgroups(G: Group, p: int) -> list:
 
 
 def elements_of_order(G: Group, k: int) -> list:
-    return [a for a in range(G.order) if G.element_order(a) == k]
+    return [a for a in range(G.order) if element_order(G, a) == k]
 
 
 def all_subgroups(S) -> list:
@@ -713,17 +742,17 @@ def central_split_by_symplectic_lift(D: Subgroup, p: int) -> Subgroup:
         for (x_, y_) in pairs:
             a = (-f(u, y_)) % p
             b = f(u, x_) % p
-            u = G.mul(u, G.mul(G.power(x_, a), G.power(y_, b)))
+            u = G.mul(u, G.mul(power(G, x_, a), power(G, y_, b)))
         return u
 
     def fix_power(w):
         """Multiply by a central element so w^p lands in D' (automatic
         for exponent-p groups)."""
-        if G.power(w, p) in Dp.member_set:
+        if power(G, w, p) in Dp.member_set:
             return w
         for z in Z.members:
             wz = G.mul(w, z)
-            if G.power(wz, p) in Dp.member_set:
+            if power(G, wz, p) in Dp.member_set:
                 return wz
         raise DecompositionNotFound("no lift with p-th power in derived")
 
@@ -736,7 +765,7 @@ def central_split_by_symplectic_lift(D: Subgroup, p: int) -> Subgroup:
             vr = reduce(v)
             t = f(ur, vr)
             if t:
-                v2 = G.power(vr, pow(t, -1, p))
+                v2 = power(G, vr, pow(t, -1, p))
                 break
         if v2 is None:
             raise DecompositionNotFound("degenerate commutator form")

@@ -165,6 +165,16 @@ def test_exit_code_input_errors(tmp_path):
     assert run_cli(["quillen", str(bad), "--prime", "2"], out)[0] == 1
 
 
+@pytest.mark.parametrize("argv,what", [
+    (["quillen", "{}", "--prime", "2"], "spec"), (["homology", "{}"], "complex")])
+def test_unreadable_input_file_is_an_input_error(argv, what, tmp_path, capsys):
+    missing = str(tmp_path / "missing")
+    assert cli.main([a.format(missing) for a in argv]) == 1
+    assert capsys.readouterr().err == (
+        f"error: InvalidSpec: cannot read {what} file: "
+        f"[Errno 2] No such file or directory: {missing!r}\n")
+
+
 def _named(name):
     return {"kind": "named", "params": {"name": name}}
 

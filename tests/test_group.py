@@ -46,18 +46,33 @@ def test_inverses_and_associativity_s4():
 def test_element_orders_divide_group_order():
     for name in ("S4", "SD16", "SL(2,3)"):
         G = G_of(name)
-        for a in range(G.order):
-            assert G.order % G.element_order(a) == 0
+        assert not (G.order % G.orders).any()
 
 
 def test_power_matches_repeated_multiplication():
     G = G_of("D8")
-    for a in range(G.order):
-        x = G.identity
-        for k in range(10):
-            assert G.power(a, k) == x
-            x = G.mul(x, a)
-        assert G.power(a, -1) == G.inv(a)
+    x = np.zeros(G.order, dtype=np.int64)
+    for k in range(10):
+        assert (G.powers(k) == x).all()
+        x = G.table[x, np.arange(G.order)]
+
+
+LARGER = {"S4xA4": lambda: cs.direct_product([G_of("S4"), G_of("A4")]),
+          "C4096": lambda: cs.cyclic(4096)}
+
+
+@pytest.mark.parametrize("name", [*cs.catalog_names(), *LARGER])
+def test_orders_and_powers_match_the_scalar_oracles(name):
+    """The whole-id arrays against one element at a time: repeated
+    multiplication for orders (every 17th id of C4096, where that takes
+    seconds), square-and-multiply for powers."""
+    G = LARGER[name]() if name in LARGER else G_of(name)
+    n = G.order
+    ids = range(0, n, 17 if name == "C4096" else 1)
+    assert G.orders[ids].tolist() == [oracles.element_order(G, a) for a in ids]
+    for k in (0, 1, 2, 3, 5, n - 1, n, n + 1):
+        assert G.powers(k).tolist() == [oracles.power(G, a, k) for a in range(n)]
+    assert (G.powers(n - 1) == G.inverse).all()
 
 
 def test_commutator_and_conjugation():
@@ -637,8 +652,8 @@ def _sylow_by_normalizer(G, p):
     while G.order % (H.order * p) == 0:
         N = oracles.normalizer(G.full(), H)
         ext = next(g for g in N.members if g not in H.member_set
-                   and gp._is_p_power(G.element_order(g), p)
-                   and G.power(g, p) in H.member_set)
+                   and gp._is_p_power(oracles.element_order(G, g), p)
+                   and oracles.power(G, g, p) in H.member_set)
         H = gp.Subgroup(G, G.closure(set(H.members) | {ext}),
                         tuple(sorted(set(H.generator_witness) | {ext})))
     return H
@@ -655,7 +670,7 @@ def _o_p_prime_by_cyclic_closures(G, p):
     gens, seen = [], set()
     for x in range(1, G.order):
         c = G.closure([x])
-        if G.element_order(x) % p == 0 or c in seen:
+        if oracles.element_order(G, x) % p == 0 or c in seen:
             continue
         seen.add(c)
         if gp.normal_closure(G, [x]).order % p:
