@@ -24,7 +24,6 @@ from .homology import (
     HomologyProfile,
     SphericityVerdict,
     TorusComplex,
-    is_cohen_macaulay,
     reduced_homology,
     smith_normal_form,
     sphericity,
@@ -68,7 +67,6 @@ __all__ = [
     "find_conjunctive_element",
     "group_from_generators",
     "group_stats",
-    "is_cohen_macaulay",
     "link",
     "main_theorem_check",
     "order_complex",

@@ -9,6 +9,7 @@ exhibited)."""
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -137,22 +138,22 @@ def _timer(timings: dict, key: str):
 
 def _group_command(args, command: str, run) -> int:
     """Shared frame of the group subcommands: require the prime, build
-    the group, run ``run(G, p, timings) -> (analyses, exit code)``, add
+    G, run ``run(TorusComplex(G, p), timings) -> (analyses, code)``, add
     the group statistics and emit the report; each stage is timed."""
     p = _require_prime(args)
     timings = {}
     with _timer(timings, "build"):
         echo, G = _load_group(args)
-    analyses, code = run(G, p, timings)
+    T = TorusComplex(G, p)
+    analyses, code = run(T, timings)
     with _timer(timings, "stats"):
-        stats = group_stats(G, p)
+        stats = group_stats(T)
     report = AnalysisReport(command, echo, stats, analyses, timings)
     return _finish(report, args, code)
 
 
 def cmd_quillen(args) -> int:
-    def run(G, p, timings):
-        T = TorusComplex(G, p)
+    def run(T, timings):
         with _timer(timings, "complex"):
             d = T.dim
         with _timer(timings, "homology"):
@@ -165,7 +166,7 @@ def cmd_quillen(args) -> int:
                 # the homotopy equivalence with the torus complex holds
                 # for the poset of ALL nontrivial p-subgroups, which
                 # brown_poset gives (G itself included when a p-group)
-                bprof = poset_homology(ps.brown_poset(G, p))
+                bprof = poset_homology(ps.brown_poset(T.group, T.prime))
             brown_agrees = bprof == prof
             analyses["brown"] = {"dim": bprof.dim, "profile": bprof.to_json(),
                                  "profiles_equal": brown_agrees}
@@ -178,8 +179,7 @@ def cmd_quillen(args) -> int:
 
 
 def cmd_cm_check(args) -> int:
-    def run(G, p, timings):
-        T = TorusComplex(G, p)
+    def run(T, timings):
         with _timer(timings, "cm_check"):
             cm = T.cohen_macaulay.to_json()
         return {"cohen_macaulay": cm, "dim": T.dim}, EXIT_OK
@@ -187,10 +187,10 @@ def cmd_cm_check(args) -> int:
 
 
 def cmd_decompose(args) -> int:
-    def run(G, p, timings):
+    def run(T, timings):
         with _timer(timings, "decompose"):
             try:
-                rep = th.omega1_structure(gp.sylow_subgroup(G, p), p)
+                rep = th.omega1_structure(T.sylow, T.prime)
             except DecompositionNotFound as e:
                 # a guaranteed decomposition that cannot be exhibited is
                 # a red-alert finding, not an input error
@@ -222,8 +222,8 @@ def _resolve_above(P, p: int, selector: str):
 
 
 def cmd_upper_interval(args) -> int:
-    def run(G, p, timings):
-        P = gp.sylow_subgroup(G, p)
+    def run(T, timings):
+        P, p = T.sylow, T.prime
         X = _resolve_above(P, p, args.above)
         with _timer(timings, "interval"):
             verdict = th.upper_interval_check(P, p, X)
@@ -236,17 +236,16 @@ def cmd_upper_interval(args) -> int:
 def _verdict_command(args, command: str, key: str, analysis: str,
                      check) -> int:
     """A group subcommand whose whole analysis is one theorem check."""
-    def run(G, p, timings):
+    def run(T, timings):
         with _timer(timings, key):
-            verdict = check(G, p)
+            verdict = check(T)
         return {analysis: verdict.to_json()}, _red(verdict.agrees)
     return _group_command(args, command, run)
 
 
 def cmd_pw_verify(args) -> int:
-    return _verdict_command(
-        args, "pw-verify", "verify", "wedge_formula",
-        lambda G, p: th.verify_pulkus_welker(TorusComplex(G, p)))
+    return _verdict_command(args, "pw-verify", "verify", "wedge_formula",
+                            th.verify_pulkus_welker)
 
 
 def cmd_plength(args) -> int:
@@ -255,9 +254,8 @@ def cmd_plength(args) -> int:
 
 
 def cmd_main_check(args) -> int:
-    return _verdict_command(
-        args, "main-check", "main", "main_theorem",
-        lambda G, p: th.main_theorem_check(TorusComplex(G, p)))
+    return _verdict_command(args, "main-check", "main", "main_theorem",
+                            th.main_theorem_check)
 
 
 def cmd_homology(args) -> int:
@@ -314,7 +312,7 @@ def _run_instance(inst: dict, max_order: Optional[int]) -> dict:
                 results[chk] = {"agrees": cm.cohen_macaulay,
                                 "verdict": cm.to_json()}
             elif chk == "decompose":
-                rep = th.omega1_structure(gp.sylow_subgroup(G, p), p)
+                rep = th.omega1_structure(T.sylow, p)
                 results[chk] = {"agrees": rep.all_checks_pass(),
                                 "structure": rep.to_json()}
             elif chk == "pw":
@@ -322,14 +320,14 @@ def _run_instance(inst: dict, max_order: Optional[int]) -> dict:
                 results[chk] = {"agrees": v.agrees,
                                 "verdict": v.to_json()}
             elif chk == "plength":
-                v = th.p_length_bound_check(G, p)
+                v = th.p_length_bound_check(T)
                 results[chk] = {"agrees": v.agrees, "verdict": v.to_json()}
             elif chk == "main":
                 v = th.main_theorem_check(T)
                 results[chk] = {"agrees": v.agrees, "claim": v.claim,
                                 "verdict": v.to_json()}
             elif chk == "certs":
-                op_nontrivial = gp.o_p(G, p).order > 1
+                op_nontrivial = T.o_p.order > 1
                 acyclic = T.profile.is_trivial()
                 conj = ps.find_conjunctive_element(T.poset)
                 conj_ok = conj is None or acyclic
@@ -398,7 +396,9 @@ def cmd_suite(args) -> int:
 
 # -- argument parsing ---------------------------------------------------
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """Built once and reused: each parse fills a new namespace."""
     parser = argparse.ArgumentParser(
         prog="quillen",
         description="Construct solvable groups, build p-subgroup "
@@ -472,8 +472,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
     except QuillenError as e:

@@ -21,7 +21,6 @@ parent group.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
@@ -30,7 +29,6 @@ from .errors import (
     HypothesisViolated,
     InvalidPermutation,
     NotAPGroup,
-    NotSolvable,
 )
 
 DEFAULT_ELEMENT_CAP = 4096
@@ -522,37 +520,6 @@ def quotient_group(S, N: Subgroup, *, label: str = "") -> Group:
                                  cap=max(DEFAULT_ELEMENT_CAP, len(reps)),
                                  provenance="coset action (regular)",
                                  label=label)
-
-
-# -- p-series and p-length ---------------------------------------------
-
-@dataclass(frozen=True)
-class PSeriesReport:
-    prime: int
-    series: tuple  # ascending chain of Subgroups of G, starting at 1
-    p_length: int
-
-    def to_json(self):
-        return {"prime": self.prime,
-                "series_orders": [S.order for S in self.series],
-                "p_length": self.p_length}
-
-
-def p_length(G: Group, p: int) -> PSeriesReport:
-    """Upper p-series 1 <= O_{p'} <= O_{p',p} <= ... and its p-length."""
-    if not is_solvable(G):
-        raise NotSolvable(f"group of order {G.order} is not solvable")
-    cur, plen, phase_p = G.trivial_subgroup(), 0, False  # a p'-step first
-    series = [cur]
-    while cur.order < G.order:
-        nxt = o_p(G, p, cur) if phase_p else o_p_prime(G, p, cur)
-        if nxt.order > cur.order:
-            if phase_p:
-                plen += 1
-            series.append(nxt)
-            cur = nxt
-        phase_p = not phase_p
-    return PSeriesReport(p, tuple(series), plen)
 
 
 # -- rank and p-group structure -----------------------------------------

@@ -1,5 +1,6 @@
-"""Exact integral reduced homology via Smith normal form, plus the
-sphericity and Cohen-Macaulay checkers built on it.
+"""Exact integral reduced homology via Smith normal form, the
+sphericity and Cohen-Macaulay checkers built on it, and `TorusComplex`,
+the one object per ground group G and prime p.
 
 All arithmetic is exact (Python integers).  Homology is computed from
 the augmented chain complex, so degree -1 is handled uniformly: the
@@ -27,10 +28,11 @@ concentrated in a single degree.  Acyclicity cannot be distinguished
 from contractibility at this level; reports carry that caveat.
 
 A complex of dimension d is Cohen-Macaulay when it is d-spherical and
-the link of every k-simplex is (d-k-1)-spherical; `is_cohen_macaulay`
-builds every link.  On the torus complex Delta(A) of A = A_p(G) there
-is a shortcut (Quillen 1978, section 8; Bjorner, "Topological methods",
-Handbook of Combinatorics, 1995, section 11).  The link of a chain
+the link of every k-simplex is (d-k-1)-spherical.  Building every link
+is the direct check, which the tests keep as the oracle.  On the torus
+complex Delta(A) of A = A_p(G) there is a shortcut (Quillen 1978,
+section 8; Bjorner, "Topological methods", Handbook of Combinatorics,
+1995, section 11).  The link of a chain
 x0 < ... < xk is the join Delta(A<x0) * Delta(x0,x1) * ... * Delta(A>xk).
 Every factor but the last is the poset of proper nontrivial subspaces
 of some F_p^m, whose homology is free of rank p^(m choose 2) in the
@@ -45,6 +47,10 @@ group: every elementary abelian p-subgroup, so that each factor above
 is a whole subspace poset and A is closed under conjugation.
 `TorusComplex` builds A so, and it is the one place where the package
 builds the torus complex of a ground group.
+
+`TorusComplex(G, p)` also holds the p-local data of G at p that every
+check and report reads (Sylow subgroup, O_p, O_p', the upper p-series),
+each computed at most once per object.
 
 Every profile of a poset (the torus complex, Brown's S_p(G), each
 interval Delta(A>x) and each wedge piece) is read by `poset_homology`
@@ -69,9 +75,11 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
 from math import gcd
-from typing import Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
-from .group import Group, _p_rank
+from . import group as gp
+from .errors import NotSolvable
+from .group import Group, Subgroup, _p_rank
 from .poset import (
     SimplicialComplex,
     SubgroupPoset,
@@ -93,7 +101,7 @@ HOMOLOGY_PROXY_CAVEAT = (
 
 def smith_normal_form(matrix) -> tuple:
     """Invariant factors (d1 | d2 | ... | dr, all > 0) and rank of an
-    integer matrix.  Accepts a dense row-list or a dict {(i, j): value}.
+    integer matrix given as a dict {(i, j): value}; no dense row lists.
 
     +-1 pivots are eliminated first (`_unit_pivots`); only the residual
     they leave goes through Euclidean steps (`_eliminate`), and the
@@ -105,17 +113,11 @@ def smith_normal_form(matrix) -> tuple:
     return _invariant_factors(diag), len(diag)
 
 
-def _to_sparse(matrix) -> dict:
+def _to_sparse(matrix: dict) -> dict:
     rows = {}
-    if isinstance(matrix, dict):
-        for (i, j), v in matrix.items():
-            if v:
-                rows.setdefault(i, {})[j] = int(v)
-        return rows
-    for i, row in enumerate(matrix):
-        for j, v in enumerate(row):
-            if v:
-                rows.setdefault(i, {})[j] = int(v)
+    for (i, j), v in matrix.items():
+        if v:
+            rows.setdefault(i, {})[j] = int(v)
     return rows
 
 
@@ -447,26 +449,69 @@ def sphericity(profile: HomologyProfile, r: int) -> SphericityVerdict:
     return SphericityVerdict(r, not torsion, False, witness, profile)
 
 
-def is_cohen_macaulay(C: SimplicialComplex) -> SphericityVerdict:
-    """Cohen-Macaulay at homology level: the complex is d-spherical and
-    the link of every r-simplex (r >= 0) is (d-r-1)-spherical, d = dim.
-    The empty link is accepted exactly when d-r-1 = -1 (its homology is
-    concentrated in degree -1)."""
-    return _cm_verdict(reduced_homology(C), C.dim, filter(None, (
-        _link_failure(C, s)
-        for k in range(C.dim + 1) for s in C.simplices_of_dim(k))))
-
-
 class TorusComplex:
-    """The torus complex of a ground group G at a prime p: the poset
-    A = A_p(G) of its nontrivial elementary abelian p-subgroups, the
-    dimension of the order complex Delta(A), its reduced homology and
-    its Cohen-Macaulay verdict.  Each is computed once, when first read;
-    Delta(A) itself only for export and for a failure's witness."""
+    """The one object per ground group G and prime p: the p-local data
+    that every check of G at p reads, and the torus complex.  It holds
+    whether G is solvable; a Sylow p-subgroup P, its derived subgroup P'
+    and its rank; O_p(G), O_p'(G) and the upper p-series; the poset
+    A = A_p(G) of the nontrivial elementary abelian p-subgroups of G,
+    the dimension of the order complex Delta(A), its reduced homology
+    and its Cohen-Macaulay verdict.  Each is computed once, when first
+    read; Delta(A) itself only for export and for a failure's witness.
+    The object is freed with the command or suite row that built it."""
 
     def __init__(self, G: Group, p: int):
         self.group = G
         self.prime = p
+
+    @cached_property
+    def solvable(self) -> bool:
+        return gp.is_solvable(self.group)
+
+    @cached_property
+    def sylow(self) -> Subgroup:
+        return gp.sylow_subgroup(self.group, self.prime)
+
+    @cached_property
+    def sylow_derived(self) -> Subgroup:
+        return gp.derived_subgroup(self.sylow)
+
+    @cached_property
+    def rank(self) -> int:
+        return gp.rank(self.sylow, self.prime)
+
+    @cached_property
+    def o_p(self) -> Subgroup:
+        return gp.o_p(self.group, self.prime)
+
+    @cached_property
+    def o_p_prime(self) -> Subgroup:
+        return gp.o_p_prime(self.group, self.prime)
+
+    @cached_property
+    def p_series(self) -> tuple:
+        """The upper p-series 1 < O_p' < O_p',p < ... < G of a solvable
+        G: the terms over 1 are O_p' or O_p modulo the one before."""
+        G, p = self.group, self.prime
+        if not self.solvable:
+            raise NotSolvable(f"group of order {G.order} is not solvable")
+        series, phase_p = [G.trivial_subgroup()], False  # a p'-step first
+        while series[-1].order < G.order:
+            if len(series) == 1:
+                nxt = self.o_p if phase_p else self.o_p_prime
+            else:
+                nxt = (gp.o_p if phase_p else gp.o_p_prime)(G, p, series[-1])
+            if nxt.order > series[-1].order:
+                series.append(nxt)
+            phase_p = not phase_p
+        return tuple(series)
+
+    @cached_property
+    def p_length(self) -> int:
+        """The number of steps of the p-series of index a power of p."""
+        s = self.p_series
+        return sum(gp._is_p_power(b.order // a.order, self.prime)
+                   for a, b in zip(s, s[1:]))
 
     @cached_property
     def poset(self) -> SubgroupPoset:
@@ -486,35 +531,27 @@ class TorusComplex:
 
     @cached_property
     def cohen_macaulay(self) -> SphericityVerdict:
-        """`is_cohen_macaulay` of the complex: the top check, then one
+        """Cohen-Macaulay at homology level: the top check, then one
         upper interval per conjugacy class of tori (see the module
         docstring).  The verdict, witness included, is the link sweep's:
         that sweep fails first at the least vertex of a failing class,
         since a chain whose link fails has a top vertex whose link fails,
         so only that one link is built, for the witness."""
-        A, d = self.poset, self.dim
+        A, d, profile = self.poset, self.dim, self.profile
+        top = sphericity(profile, d)
+        if not top.homology_spherical:
+            return SphericityVerdict(top.weakly_spherical_in, False, False,
+                                     f"complex itself: {top.witness}",
+                                     profile)
 
         def fails(x):  # Delta(A>x) is not (d - rank of x)-spherical
             above = poset_homology(A.induced(sorted(A.above[x])))
             r = _p_rank(A.nodes[x].order, self.prime)
             return not sphericity(above, d - r).homology_spherical
 
-        return _cm_verdict(self.profile, d, (
-            _link_failure(self.complex, {x})
-            for x, *_ in conjugacy_classes(A) if fails(x)))
-
-
-def _cm_verdict(profile: HomologyProfile, d: int,
-                failures: Iterator[str]) -> SphericityVerdict:
-    """The verdict on a complex of dimension d with reduced homology
-    ``profile``: not d-spherical, else the first of the lazy ``failures``
-    witnesses, else Cohen-Macaulay."""
-    top = sphericity(profile, d)
-    if not top.homology_spherical:
-        return SphericityVerdict(top.weakly_spherical_in, False, False,
-                                 f"complex itself: {top.witness}", profile)
-    witness = next(failures, None)
-    return SphericityVerdict(d, True, witness is None, witness, profile)
+        witness = next((_link_failure(self.complex, {x})
+                        for x, *_ in conjugacy_classes(A) if fails(x)), None)
+        return SphericityVerdict(d, True, witness is None, witness, profile)
 
 
 def _link_failure(C: SimplicialComplex, s) -> Optional[str]:

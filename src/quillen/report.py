@@ -6,11 +6,9 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Optional
 
 from . import group as gp
-from .group import Group
-from .homology import HOMOLOGY_PROXY_CAVEAT
+from .homology import HOMOLOGY_PROXY_CAVEAT, TorusComplex
 
 VERSION = "1.0"
 
@@ -64,17 +62,17 @@ def _render_inline(v) -> str:
     return str(v)
 
 
-def group_stats(G: Group, p: Optional[int] = None) -> dict:
-    stats = {"label": G.label, "order": G.order,
-             "solvable": gp.is_solvable(G)}
-    if p is not None and G.order % p == 0:
-        P = gp.sylow_subgroup(G, p)
+def group_stats(T: TorusComplex) -> dict:
+    """G's statistics, and those of its p-local data when p | |G|."""
+    G = T.group
+    stats = {"label": G.label, "order": G.order, "solvable": T.solvable}
+    if G.order % T.prime == 0:
+        P, Pp = T.sylow, T.sylow_derived
         stats["sylow_order"] = P.order
         stats["sylow_abelian"] = gp.is_abelian(P)
-        Pp = gp.derived_subgroup(P)
         stats["sylow_derived_order"] = Pp.order
         stats["sylow_derived_cyclic"] = gp.is_cyclic(Pp)
-        stats["sylow_rank"] = gp.rank(P, p)
-        stats["o_p_order"] = gp.o_p(G, p).order
-        stats["o_p_prime_order"] = gp.o_p_prime(G, p).order
+        stats["sylow_rank"] = T.rank
+        stats["o_p_order"] = T.o_p.order
+        stats["o_p_prime_order"] = T.o_p_prime.order
     return stats

@@ -425,7 +425,7 @@ def verify_pulkus_welker(T: TorusComplex) -> TheoremVerdict:
     Milnor's formula, one piece per G-class of NA counted once per member
     (conjugate pieces are isomorphic); over NA = G it reads T's."""
     G, p = T.group, T.prime
-    N = gp.o_p_prime(G, p)
+    N = T.o_p_prime
     if N.order == 1:
         raise PreconditionFailed("O_{p'}(G) = 1")
     if not gp.is_solvable(N):
@@ -465,24 +465,24 @@ def _looks_like_sl23(F: Group) -> bool:
             and int((F.orders == 2).sum()) == 1)
 
 
-def p_length_bound_check(G: Group, p: int) -> TheoremVerdict:
-    """Verify the p-length bounds for a solvable group whose Sylow
-    p-subgroup has cyclic derived subgroup: length 1 for p >= 5 (or
-    abelian Sylow), at most 2 for p < 5; when the length is 2 and
+def p_length_bound_check(T: TorusComplex) -> TheoremVerdict:
+    """Verify the p-length bounds for the solvable group G of T whose
+    Sylow p-subgroup has cyclic derived subgroup: length 1 for p >= 5
+    (or abelian Sylow), at most 2 for p < 5; when the length is 2 and
     O_{p'}(G) = 1, verify the section <P, P^g>/O_p(G) against the small
     linear-group fingerprints and the intersection identity."""
-    if not gp.is_solvable(G):
+    G, p = T.group, T.prime
+    if not T.solvable:
         raise HypothesisViolated("G solvable")
     if G.order % p != 0:
         return TheoremVerdict("p-length", "p does not divide |G|: length 0",
                               {"p_length": 0}, True)
-    P = gp.sylow_subgroup(G, p)
-    if not gp.is_cyclic(gp.derived_subgroup(P)):
+    P = T.sylow
+    if not gp.is_cyclic(T.sylow_derived):
         raise HypothesisViolated("P' cyclic")
-    rep = gp.p_length(G, p)
-    ell = rep.p_length
+    ell = T.p_length
     computed = {"p_length": ell,
-                "series_orders": [S.order for S in rep.series],
+                "series_orders": [S.order for S in T.p_series],
                 "sylow_order": P.order,
                 "sylow_abelian": gp.is_abelian(P)}
     notes = []
@@ -496,9 +496,9 @@ def p_length_bound_check(G: Group, p: int) -> TheoremVerdict:
         predicted = "length <= 2"
         agrees = ell <= 2
 
-    H = gp.o_p_prime(G, p)
+    H = T.o_p_prime
     if ell == 2 and H.order == 1 and p < 5:
-        N = gp.o_p(G, p)
+        N = T.o_p
         g = min(set(range(G.order)) - set(gp._normalizing(  # least g outside N_G(P)
             G, P.member_set, P.generator_witness, range(G.order))))
         Pg = gp.conjugate_subgroup(P, g)
@@ -528,19 +528,19 @@ def main_theorem_check(T: TorusComplex) -> TheoremVerdict:
     rk(P) - 1; when that factor is semidihedral, predict at least two
     distinct nonzero reduced homology degrees."""
     G, p = T.group, T.prime
-    if not gp.is_solvable(G):
+    if not T.solvable:
         raise HypothesisViolated("G solvable")
     if G.order % p != 0:
         raise HypothesisViolated("p divides |G|")
-    P = gp.sylow_subgroup(G, p)
-    if not gp.is_cyclic(gp.derived_subgroup(P)):
+    P = T.sylow
+    if not gp.is_cyclic(T.sylow_derived):
         raise HypothesisViolated("P' cyclic")
     rep = omega1_structure(P, p)
     semidihedral = rep.T_type == "semidihedral"
 
     cm = None if semidihedral else T.cohen_macaulay
     prof = T.profile
-    rkP = gp.rank(P, p)
+    rkP = T.rank
     computed = {"sylow_order": P.order, "rank": rkP, "dim": T.dim,
                 "profile": prof.to_json(), "T_type": rep.T_type,
                 "case": rep.case}
@@ -555,7 +555,7 @@ def main_theorem_check(T: TorusComplex) -> TheoremVerdict:
             profile=prof, cm=cm, structure=rep)
 
     nz = prof.nonzero_degrees()
-    if gp.o_p(G, p).order > 1:
+    if T.o_p.order > 1:
         # a nontrivial normal p-subgroup makes the complex acyclic, so
         # the two-nonzero-degrees conclusion cannot be meaningfully
         # tested; report without a verdict

@@ -17,8 +17,10 @@ group, assembled as an explicit wedge of joins; every
 subgroup by exhaustive search, the enumerators' oracle, and the elements
 of a given order; the Smith normal form's old Euclidean engine, with
 its divisibility chain by prime factorization; reduced homology from
-the full boundary matrices of every degree, with no coreduction; and
-the structure splits' old engines: the greedy complement grown by
+the full boundary matrices of every degree, with no coreduction; dense
+matrices as the sparse dict the Smith normal form takes; the
+Cohen-Macaulay link sweep over every simplex; the upper p-series by
+alternating phases; and the structure splits' old engines: the greedy complement grown by
 subgroup closure, and the extraspecial E lifted from a symplectic basis
 of D/Z(D)."""
 
@@ -42,8 +44,11 @@ from quillen.errors import (
 from quillen.group import DEFAULT_ELEMENT_CAP, Group, Subgroup
 from quillen.homology import (
     HomologyProfile,
+    SphericityVerdict,
+    _link_failure,
     reduced_homology,
     smith_normal_form,
+    sphericity,
 )
 from quillen.poset import SimplicialComplex, SubgroupPoset
 from quillen.theorems import TheoremVerdict
@@ -516,6 +521,47 @@ def reduced_homology_by_snf(C: SimplicialComplex) -> HomologyProfile:
                      if f > 1)
         torsion.append(tors)
     return HomologyProfile(d, tuple(betti), tuple(torsion))
+
+
+def sparse(rows: Sequence[Sequence[int]]) -> dict:
+    """A dense row list as the dict {(i, j): value} of its nonzero
+    entries, the one matrix form `smith_normal_form` takes."""
+    return {(i, j): v for i, row in enumerate(rows)
+            for j, v in enumerate(row) if v}
+
+
+def is_cohen_macaulay(C: SimplicialComplex) -> SphericityVerdict:
+    """The link sweep: Cohen-Macaulay at homology level when the complex
+    is d-spherical, d = dim, and the link of every r-simplex (r >= 0) is
+    (d-r-1)-spherical, each link built and reduced.  The empty link is
+    accepted exactly when d-r-1 = -1 (its homology is concentrated in
+    degree -1).  The oracle for `TorusComplex.cohen_macaulay`."""
+    profile, d = reduced_homology(C), C.dim
+    top = sphericity(profile, d)
+    if not top.homology_spherical:
+        return SphericityVerdict(top.weakly_spherical_in, False, False,
+                                 f"complex itself: {top.witness}", profile)
+    witness = next(filter(None, (
+        _link_failure(C, s)
+        for k in range(d + 1) for s in C.simplices_of_dim(k))), None)
+    return SphericityVerdict(d, True, witness is None, witness, profile)
+
+
+def p_length_by_phases(G: Group, p: int) -> tuple:
+    """(upper p-series, p-length) by alternating p'- and p-steps from 1,
+    each `o_p_prime` or `o_p` modulo the term before, counting the p-steps
+    that grow: the oracle for `TorusComplex.p_series` and `.p_length`."""
+    cur, plen, phase_p = G.trivial_subgroup(), 0, False  # a p'-step first
+    series = [cur]
+    while cur.order < G.order:
+        nxt = gp.o_p(G, p, cur) if phase_p else gp.o_p_prime(G, p, cur)
+        if nxt.order > cur.order:
+            if phase_p:
+                plen += 1
+            series.append(nxt)
+            cur = nxt
+        phase_p = not phase_p
+    return tuple(series), plen
 
 
 # -- groups from multiplication tables ----------------------------------

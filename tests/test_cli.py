@@ -6,10 +6,12 @@ import os
 import subprocess
 import sys
 import time
+from collections import Counter
 
 import pytest
 
 from quillen import cli, homology, poset, theorems
+from quillen import group as gp
 from quillen import constructions as cs
 from quillen.errors import DecompositionNotFound
 
@@ -316,6 +318,73 @@ def test_suite_row_builds_the_torus_poset_once_and_no_complex(monkeypatch):
     assert sum(P is posets[0] for P in read) == 1
     torus = poset.order_complex(posets[0])
     assert not any(C == torus for C in reduced)
+
+
+P_LOCAL = ("sylow_subgroup", "o_p", "o_p_prime", "is_solvable")
+
+
+def _count_p_local_calls(monkeypatch):
+    """Wrap the p-local primitives of `group`; count each call made with
+    the default N and outside another counted call (o_p grows its own
+    Sylow subgroup), keyed by function and arguments."""
+    calls, depth = Counter(), [0]
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            if depth[0] == 0 and len(args) <= 2 and not kwargs:
+                calls[(name,) + args] += 1
+            depth[0] += 1
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                depth[0] -= 1
+        return wrapper
+
+    for name in P_LOCAL:
+        monkeypatch.setattr(gp, name, counted(name, getattr(gp, name)))
+    return calls
+
+
+@pytest.mark.parametrize("argv", [
+    ["plength", "--name", "C3C3:SL(2,3)", "--prime", "3"],
+    ["suite", "--only", "C3C3:SL(2,3)"],
+], ids=["plength", "suite-row"])
+def test_p_local_data_is_computed_once(argv, monkeypatch, capsys):
+    """One command, or one suite row, computes the Sylow subgroup, O_p,
+    O_p' and solvability of its group at its prime at most once each:
+    every check reads them from the row's `TorusComplex`."""
+    calls = _count_p_local_calls(monkeypatch)
+    assert cli.main(argv) == 0
+    assert {key[0] for key in calls} == set(P_LOCAL)
+    assert max(calls.values()) == 1, calls
+
+
+def test_parser_is_built_once_and_keeps_no_state(monkeypatch, capsys):
+    """`main` reuses one parser; a flag or an error of one call does not
+    leak into the next, whose report equals a fresh parser's."""
+    assert cli._build_parser() is cli._build_parser()
+    argvs = [["quillen", "--name", "S3", "--prime", "2", "--brown"],
+             ["quillen", "--name", "S3", "--prime", "x"],
+             ["quillen", "--name", "S3", "--prime", "2"]]
+
+    def reports():
+        out = []
+        for argv in argvs:
+            try:
+                code = cli.main(argv + ["--format", "json"])
+            except SystemExit as e:
+                code = e.code
+            text = capsys.readouterr().out
+            out.append((code, _strip_timings(json.loads(text))
+                        if text else None))
+        return out
+
+    reused = reports()
+    monkeypatch.setattr(cli, "_build_parser", cli._build_parser.__wrapped__)
+    assert reused == reports()
+    assert [code for code, _ in reused] == [0, 2, 0]
+    assert "brown" in reused[0][1]["analyses"]
+    assert "brown" not in reused[2][1]["analyses"]
 
 
 def test_suite_unknown_only_name(tmp_path):

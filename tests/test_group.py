@@ -2,11 +2,13 @@
 Sylow theory, quotients, and the p-series."""
 
 import itertools
+import json
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from quillen import cli
 from quillen import constructions as cs
 from quillen import group as gp
 from quillen.errors import (
@@ -15,6 +17,7 @@ from quillen.errors import (
     InvalidPermutation,
     NotSolvable,
 )
+from quillen.homology import TorusComplex
 
 import oracles
 
@@ -326,16 +329,16 @@ def test_quotient_requires_normality():
 
 
 def test_p_length():
-    assert gp.p_length(G_of("S4"), 2).p_length == 2
-    assert gp.p_length(G_of("S4"), 3).p_length == 1
-    assert gp.p_length(G_of("S3"), 2).p_length == 1
-    assert gp.p_length(G_of("C3C3:SL(2,3)"), 3).p_length == 2
-    assert gp.p_length(G_of("C5:V4"), 5).p_length == 1
-    rep = gp.p_length(G_of("S4"), 2)
-    assert rep.series[0].order == 1 and rep.series[-1].order == 24
+    assert TorusComplex(G_of("S4"), 2).p_length == 2
+    assert TorusComplex(G_of("S4"), 3).p_length == 1
+    assert TorusComplex(G_of("S3"), 2).p_length == 1
+    assert TorusComplex(G_of("C3C3:SL(2,3)"), 3).p_length == 2
+    assert TorusComplex(G_of("C5:V4"), 5).p_length == 1
+    series = TorusComplex(G_of("S4"), 2).p_series
+    assert series[0].order == 1 and series[-1].order == 24
     A5 = gp.group_from_generators(5, [[1, 2, 3, 4, 0], [1, 0, 3, 2, 4]])
     with pytest.raises(NotSolvable):
-        gp.p_length(A5, 2)
+        TorusComplex(A5, 2).p_series
 
 
 # -- enumeration --------------------------------------------------------
@@ -628,7 +631,7 @@ def test_table_matches_lookup_on_p_length_quotients(name):
     G = G_of(name)
     for p in _primes(G.order):
         section = _p_length_section(G, p)
-        for S, N in [(G, N) for N in gp.p_length(G, p).series[1:-1]] \
+        for S, N in [(G, N) for N in TorusComplex(G, p).p_series[1:-1]] \
                 + ([section] if section else []):
             Q = gp.quotient_group(S, N)
             assert Q.elements == oracles.quotient_by_table(S, N).group.elements
@@ -732,8 +735,26 @@ def test_sylow_o_p_o_p_prime_and_p_series_match_old_engines(names):
         _assert_sylow_and_o_p_match(G, p)
         assert gp.o_p_prime(G, p).member_set == \
             _o_p_prime_by_cyclic_closures(G, p)
-        assert [S.member_set for S in gp.p_length(G, p).series] == \
+        assert [S.member_set for S in TorusComplex(G, p).p_series] == \
             _p_series_by_quotients(G, p)
+
+
+def _manifest_pairs():
+    with open(cli._default_manifest_path()) as fh:
+        return [(i["name"], i["prime"]) for i in json.load(fh)["instances"]]
+
+
+@pytest.mark.parametrize("name,p", _manifest_pairs(), ids=str)
+def test_p_series_and_p_length_match_the_phase_loop(name, p):
+    """`TorusComplex.p_series` and `.p_length`, whose first steps are the
+    object's O_p' and O_p, against alternating phases from 1, on every
+    (group, prime) of the suite manifest."""
+    G = G_of(name)
+    T = TorusComplex(G, p)
+    series, ell = oracles.p_length_by_phases(G, p)
+    assert [S.member_set for S in T.p_series] == \
+        [S.member_set for S in series]
+    assert T.p_length == ell
 
 
 @pytest.mark.parametrize("name", LARGE)

@@ -487,7 +487,7 @@ def test_wedge_formula_precondition():
 # -- p-length -----------------------------------------------------------
 
 def test_plength_s4():
-    v = th.p_length_bound_check(G_of("S4"), 2)
+    v = th.p_length_bound_check(TorusComplex(G_of("S4"), 2))
     assert v.agrees is True
     assert v.computed["p_length"] == 2
     assert "fingerprint match: True" in " ".join(v.notes)
@@ -495,7 +495,7 @@ def test_plength_s4():
 
 
 def test_plength_sl23_section():
-    v = th.p_length_bound_check(G_of("C3C3:SL(2,3)"), 3)
+    v = th.p_length_bound_check(TorusComplex(G_of("C3C3:SL(2,3)"), 3))
     assert v.agrees is True
     assert v.computed["p_length"] == 2
     assert v.computed["section_order"] == 24
@@ -503,13 +503,13 @@ def test_plength_sl23_section():
 
 def test_plength_abelian_sylow():
     for name, p in (("SL(2,3)", 3), ("C7:C3", 3), ("C5:V4", 5)):
-        v = th.p_length_bound_check(G_of(name), p)
+        v = th.p_length_bound_check(TorusComplex(G_of(name), p))
         assert v.agrees is True
         assert v.computed["p_length"] <= 1
 
 
 def test_plength_p_not_dividing():
-    v = th.p_length_bound_check(G_of("S4"), 5)
+    v = th.p_length_bound_check(TorusComplex(G_of("S4"), 5))
     assert v.agrees is True and v.computed["p_length"] == 0
 
 
