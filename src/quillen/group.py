@@ -553,12 +553,13 @@ def _grow(G: Group, amb: frozenset, start: frozenset, gens: tuple,
     found, queue = {start: gens}, [start]
     ids = np.array(sorted(amb), dtype=np.intp)
     for H in queue:
-        hs, done = sorted(H), set(H)
+        h, done = np.fromiter(H, dtype=np.intp, count=len(H))[:, None], set(H)
         for g in steps(H, found[H], ids):
             if g in done:
                 continue
-            done.update(_product_set(G, hs, (g,)))
-            K = frozenset(_product_set(G, hs, _cyclic_ids(G, g)))
+            HG = G.table[h, _cyclic_ids(G, g)]  # column k is the coset Hg^k
+            done.update(HG[:, 1].tolist())
+            K = frozenset(HG.ravel().tolist())
             if K not in found:
                 found[K] = found[H] + (g,)
                 queue.append(K)

@@ -83,6 +83,7 @@ from .group import Group, Subgroup, _p_rank
 from .poset import (
     SimplicialComplex,
     SubgroupPoset,
+    bits,
     conjugacy_classes,
     link,
     order_complex,
@@ -221,15 +222,17 @@ def _eliminate(rows: dict) -> list:
 def _invariant_factors(diag: Sequence[int]) -> tuple:
     """Normalize a multiset of positive integers, the orders of a sum of
     cyclic groups, to its divisibility chain d1 | d2 | ... | dr.  The 1s
-    are counted; each pair of the other entries is replaced by its gcd
-    and lcm, in order, which leaves the group unchanged and makes each
-    entry divide every later one."""
-    rest = [d for d in diag if d != 1]
-    for i in range(len(rest)):
-        for j in range(i + 1, len(rest)):
-            g = gcd(rest[i], rest[j])
-            rest[i], rest[j] = g, rest[i] // g * rest[j]
-    return (1,) * (len(diag) - len(rest)) + tuple(sorted(rest))
+    are counted.  Sorted, the other entries often form the chain already
+    (one repeated torsion order does); else each pair of them is replaced
+    by its gcd and lcm, in order, which leaves the group unchanged and
+    makes each entry divide every later one."""
+    rest = sorted(d for d in diag if d != 1)
+    if any(b % a for a, b in zip(rest, rest[1:])):
+        for i in range(len(rest)):
+            for j in range(i + 1, len(rest)):
+                g = gcd(rest[i], rest[j])
+                rest[i], rest[j] = g, rest[i] // g * rest[j]
+    return (1,) * (len(diag) - len(rest)) + tuple(rest)
 
 
 # -- coreduction and reduced homology -----------------------------------
@@ -545,7 +548,7 @@ class TorusComplex:
                                      profile)
 
         def fails(x):  # Delta(A>x) is not (d - rank of x)-spherical
-            above = poset_homology(A.induced(sorted(A.above[x])))
+            above = poset_homology(A.induced(bits(A.above[x])))
             r = _p_rank(A.nodes[x].order, self.prime)
             return not sphericity(above, d - r).homology_spherical
 

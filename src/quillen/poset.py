@@ -9,7 +9,6 @@ makes the degree arithmetic of links and of the join formula uniform.
 
 from __future__ import annotations
 
-import bisect
 import itertools
 from typing import Iterable, Optional
 
@@ -20,7 +19,16 @@ from .group import Group, Subgroup
 
 class SubgroupPoset:
     """An inclusion-ordered family of subgroups of a ground group, with
-    canonical node order (by subgroup order, then member tuple)."""
+    canonical node order (by subgroup order, then member tuple).
+
+    The relation is held as Python-int bitsets, bit j standing for node j:
+    ``containing[x]`` has the nodes that hold element id x, ``above[i]``
+    the nodes strictly containing node i, and ``below[i]`` the nodes it
+    strictly contains.  A node contains H exactly when it holds H's
+    generators, so ``above[i]`` is the meet of ``containing[w]`` over
+    node i's generator witness w, less node i and the nodes before it
+    (none of larger order).  Every node's ``generator_witness`` must
+    generate it."""
 
     def __init__(self, ground_group: Group, nodes: Iterable[Subgroup]):
         seen = {}
@@ -31,19 +39,22 @@ class SubgroupPoset:
                       sorted(seen, key=lambda m: (len(m), m))]
         self._index = {S.members: i for i, S in enumerate(self.nodes)}
         n = len(self.nodes)
-        # above[i] = indices of nodes strictly containing node i; only a
-        # node of larger order can, and those come after the last node
-        # of node i's order
-        sets = [S.member_set for S in self.nodes]
-        orders = [len(s) for s in sets]
-        self.above = [frozenset(j for j in range(bisect.bisect_right(
-                          orders, orders[i]), n) if sets[i] <= sets[j])
-                      for i in range(n)]
-        below = [[] for _ in range(n)]
-        for i, up in enumerate(self.above):
-            for j in up:
-                below[j].append(i)
-        self.below = [frozenset(b) for b in below]
+        containing = [0] * ground_group.order
+        for j, S in enumerate(self.nodes):
+            bit = 1 << j
+            for x in S.members:
+                containing[x] |= bit
+        everything = (1 << n) - 1
+        above = [_meet(containing, S.generator_witness, everything)
+                 >> (i + 1) << (i + 1) for i, S in enumerate(self.nodes)]
+        below = [0] * n
+        for i, up in enumerate(above):
+            bit = 1 << i
+            while up:  # bits(up), inline: this loop runs once per node
+                low = up & -up
+                below[low.bit_length() - 1] |= bit
+                up ^= low
+        self.containing, self.above, self.below = containing, above, below
 
     def __len__(self):
         return len(self.nodes)
@@ -61,32 +72,56 @@ class SubgroupPoset:
 
     def height(self) -> int:
         """The dimension of the order complex: the number of nodes in a
-        longest chain, minus one (-1 when empty).  A node is below only
-        later nodes, so one reverse pass finds each longest chain up."""
-        up = [0] * len(self)
-        for i in reversed(range(len(self))):
-            up[i] = 1 + max((up[j] for j in self.above[i]), default=0)
-        return max(up, default=0) - 1
+        longest chain, minus one (-1 when empty).  The nodes that start a
+        chain of k + 1 nodes are those whose up-set meets the nodes that
+        start a chain of k."""
+        above, h = self.above, -1
+        starts, level = range(len(self)), (1 << len(self)) - 1
+        while starts:
+            starts = [i for i in starts if above[i] & level]
+            level = sum(1 << i for i in starts)
+            h += 1
+        return h
 
     def core(self) -> list:
         """The node indices of a beat-point core, ascending.  A beat point
         is a node whose strict up-set among the nodes left has a least
         element, or whose strict down-set has a greatest one; they are
         removed until none is left.  A least element has the least order
-        of the up-set, so it is the up-set's first node, and a greatest
-        element its last."""
+        of the up-set, so it is the up-set's lowest bit, and it is least
+        when the rest of the up-set lies above it; a greatest element is
+        the highest bit, and greatest when the rest lies below it."""
         above, below = self.above, self.below
-        live = set(range(len(self)))
+        live = (1 << len(self)) - 1
         removed = True
         while removed:
             removed = False
-            for x in sorted(live):
+            for x in bits(live):
                 up, down = above[x] & live, below[x] & live
-                if ((up and up - {min(up)} <= above[min(up)])
-                        or (down and down - {max(down)} <= below[max(down)])):
-                    live.remove(x)
+                lo, hi = (up & -up).bit_length() - 1, down.bit_length() - 1
+                if ((up and not (up ^ 1 << lo) & ~above[lo])
+                        or (down and not (down ^ 1 << hi) & ~below[hi])):
+                    live ^= 1 << x
                     removed = True
-        return sorted(live)
+        return list(bits(live))
+
+
+def bits(m: int):
+    """The set bits of the bitset m, ascending."""
+    base = 0
+    while m:
+        low = (m & -m).bit_length()
+        yield base + low - 1
+        m >>= low
+        base += low
+
+
+def _meet(containing: list, elements: Iterable[int], nodes: int) -> int:
+    """The bitset of the ``nodes`` that hold every one of the element
+    ids."""
+    for x in elements:
+        nodes &= containing[x]
+    return nodes
 
 
 # -- poset builders -----------------------------------------------------
@@ -116,8 +151,7 @@ def ab_poset(D) -> SubgroupPoset:
 
 
 def upper_interval(P: SubgroupPoset, x: Subgroup) -> SubgroupPoset:
-    i = P.index_of(x)
-    return P.induced(sorted(P.above[i]))
+    return P.induced(bits(P.above[P.index_of(x)]))
 
 
 def conjugacy_classes(P: SubgroupPoset) -> list:
@@ -125,8 +159,14 @@ def conjugacy_classes(P: SubgroupPoset) -> list:
     lists of node indices, each sorted, ordered by least index.  P must
     be closed under conjugation.  A class is the orbit of its least node
     under conjugation by the group's generators, which generate every
-    conjugation; each node is conjugated once per generator."""
+    conjugation.  The conjugate of a node by g is the least node holding
+    its generators conjugated by g: every other node holding them has
+    larger order."""
     G = P.ground_group
+    t = G.table
+    # x -> g^-1 x g for each generator g
+    conj = [t[t[G.inverse[g]], g].tolist() for g in G.generators]
+    everything = (1 << len(P)) - 1
     seen = [False] * len(P)
     classes = []
     for i in range(len(P)):
@@ -135,8 +175,15 @@ def conjugacy_classes(P: SubgroupPoset) -> list:
         seen[i] = True
         orbit = [i]
         for j in orbit:
-            for g in G.generators:
-                k = P.index_of(gp.conjugate_subgroup(P.nodes[j], g))
+            S = P.nodes[j]
+            for c in conj:
+                m = _meet(P.containing, map(c.__getitem__,
+                                            S.generator_witness), everything)
+                k = (m & -m).bit_length() - 1
+                if k < 0 or P.nodes[k].order != S.order:
+                    raise NodeNotInPoset(
+                        f"a conjugate of a subgroup of order {S.order} "
+                        "is not in the poset")
                 if not seen[k]:
                     seen[k] = True
                     orbit.append(k)
@@ -146,20 +193,16 @@ def conjugacy_classes(P: SubgroupPoset) -> list:
 
 def find_conjunctive_element(P: SubgroupPoset) -> Optional[Subgroup]:
     """A node having a least upper bound with every node, or None.
-    Existence certifies contractibility of the order complex."""
-    n = len(P.nodes)
-    geq = [P.above[i] | {i} for i in range(n)]
-    for a in range(n):
-        ok = True
-        for x in range(n):
-            ub = geq[a] & geq[x]
-            if not ub:
-                ok = False
+    Existence certifies contractibility of the order complex.  The upper
+    bounds of a and x have a least one exactly when they all lie at or
+    above the lowest of them."""
+    geq = [up | 1 << i for i, up in enumerate(P.above)]
+    for a, ga in enumerate(geq):
+        for gx in geq:
+            ub = ga & gx
+            if not ub or ub & ~geq[(ub & -ub).bit_length() - 1]:
                 break
-            if not any(all(u == v or u in P.below[v] for v in ub) for u in ub):
-                ok = False
-                break
-        if ok:
+        else:
             return P.nodes[a]
     return None
 
@@ -239,17 +282,17 @@ def _closure(simplices: Iterable) -> set:
 
 def order_complex(P: SubgroupPoset) -> SimplicialComplex:
     """Simplices are the chains of the poset; vertex i is node i."""
-    n = len(P.nodes)
+    ups = [list(bits(m)) for m in P.above]
     chains = []
 
     def extend(chain, top):
         chains.append(frozenset(chain))
-        for j in sorted(P.above[top]):
+        for j in ups[top]:
             chain.append(j)
             extend(chain, j)
             chain.pop()
 
-    for i in range(n):
+    for i in range(len(ups)):
         extend([i], i)
     return SimplicialComplex(chains)
 

@@ -433,16 +433,23 @@ def verify_pulkus_welker(T: TorusComplex) -> TheoremVerdict:
     A = T.poset
     lhs = T.profile
 
-    PQ = ps.SubgroupPoset(G, [
-        Subgroup(G, gp._product_set(G, N.members, X.members),
-                 tuple(sorted(set(N.generator_witness)
-                              | set(X.generator_witness))))
-        for X in A.nodes])
+    NX = [Subgroup(G, gp._product_set(G, N.members, X.members),
+                   tuple(sorted(set(N.generator_witness)
+                                | set(X.generator_witness))))
+          for X in A.nodes]
+    PQ = ps.SubgroupPoset(G, NX)
+    # X lies in NA exactly when NX does: the nodes of A inside NA are
+    # those over NA and over the nodes of PQ below it
+    over = [[] for _ in range(len(PQ))]
+    for j, S in enumerate(NX):
+        over[PQ.index_of(S)].append(j)
     pieces = [(poset_homology(PQ), 1)]
     for cls in ps.conjugacy_classes(PQ):
-        NA = PQ.nodes[cls[0]]
+        k = cls[0]
+        NA = PQ.nodes[k]
         inside = T.profile if NA.order == G.order else poset_homology(
-            A.induced(j for j, X in enumerate(A.nodes) if X <= NA))
+            A.induced(j for m in ps.bits(PQ.below[k] | 1 << k)
+                      for j in over[m]))
         above = poset_homology(ps.upper_interval(PQ, NA))
         pieces.append((join_homology(inside, above), len(cls)))
     rhs = wedge_homology(pieces)

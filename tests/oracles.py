@@ -1,6 +1,10 @@
 """Reference constructions that only the tests use: element orders and
 powers of one element by repeated multiplication and square-and-multiply,
-the oracles for `Group.orders` and `Group.powers`; poset intervals, the
+the oracles for `Group.orders` and `Group.powers`; the engines that
+the bitset relation replaced, each on frozensets: the inclusion
+relation by comparing every pair of nodes, the beat-point core, the
+conjunctive-element search by its double loop, and the conjugacy
+classes of nodes by conjugating subgroups; poset intervals, the
 Hasse diagram, a beat-point core, the closure of a facet list under
 faces, facets and the reduced Euler characteristic, each by the direct
 definition; the join and the one-point wedge as explicit
@@ -16,7 +20,8 @@ projection, and the wedge formula's right-hand side over a quotient
 group, assembled as an explicit wedge of joins; every
 subgroup by exhaustive search, the enumerators' oracle, and the elements
 of a given order; the Smith normal form's old Euclidean engine, with
-its divisibility chain by prime factorization; reduced homology from
+its divisibility chain by prime factorization, and the chain by the
+gcd and lcm of every pair; reduced homology from
 the full boundary matrices of every degree, with no coreduction; dense
 matrices as the sparse dict the Smith normal form takes; the
 Cohen-Macaulay link sweep over every simplex; the upper p-series by
@@ -24,7 +29,9 @@ alternating phases; and the structure splits' old engines: the greedy complement
 subgroup closure, and the extraspecial E lifted from a symplectic basis
 of D/Z(D)."""
 
+import bisect
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -54,24 +61,67 @@ from quillen.poset import SimplicialComplex, SubgroupPoset
 from quillen.theorems import TheoremVerdict
 
 
+def relation_by_pairs(P: SubgroupPoset) -> tuple:
+    """The strict inclusion relation of P as (above, below), lists of
+    frozensets of node indices, by testing every pair of nodes: only a
+    node of larger order can contain node i, and those come after the
+    last node of node i's order."""
+    sets = [S.member_set for S in P.nodes]
+    orders = [len(s) for s in sets]
+    n = len(sets)
+    above = [frozenset(j for j in range(bisect.bisect_right(
+                 orders, orders[i]), n) if sets[i] <= sets[j])
+             for i in range(n)]
+    below = [[] for _ in range(n)]
+    for i, up in enumerate(above):
+        for j in up:
+            below[j].append(i)
+    return above, [frozenset(b) for b in below]
+
+
+def relation_as_sets(P: SubgroupPoset) -> tuple:
+    """P's bitset relation as (above, below), lists of frozensets."""
+    return ([frozenset(ps.bits(m)) for m in P.above],
+            [frozenset(ps.bits(m)) for m in P.below])
+
+
 def covers(P: SubgroupPoset) -> list:
     """Hasse diagram: (i, j) with node i covered by node j."""
+    above, below = relation_as_sets(P)
     out = []
     for i in range(len(P.nodes)):
-        for j in sorted(P.above[i]):
-            if not (P.above[i] & P.below[j]):
+        for j in sorted(above[i]):
+            if not (above[i] & below[j]):
                 out.append((i, j))
     return out
 
 
 def lower_interval(P: SubgroupPoset, x) -> SubgroupPoset:
-    i = P.index_of(x)
-    return P.induced(sorted(P.below[i]))
+    return P.induced(ps.bits(P.below[P.index_of(x)]))
 
 
 def open_interval(P: SubgroupPoset, r, s) -> SubgroupPoset:
     i, j = P.index_of(r), P.index_of(s)
-    return P.induced(sorted(P.above[i] & P.below[j]))
+    return P.induced(ps.bits(P.above[i] & P.below[j]))
+
+
+def core_by_sets(P: SubgroupPoset) -> list:
+    """The beat-point core that `SubgroupPoset.core` finds, by the same
+    passes over the pairwise relation as frozensets: a node is removed
+    when its live strict up-set has a least element (its first node) or
+    its live strict down-set a greatest one (its last node)."""
+    above, below = relation_by_pairs(P)
+    live = set(range(len(P)))
+    removed = True
+    while removed:
+        removed = False
+        for x in sorted(live):
+            up, down = above[x] & live, below[x] & live
+            if ((up and up - {min(up)} <= above[min(up)])
+                    or (down and down - {max(down)} <= below[max(down)])):
+                live.remove(x)
+                removed = True
+    return sorted(live)
 
 
 def beat_core_from_the_top(P: SubgroupPoset) -> list:
@@ -80,13 +130,14 @@ def beat_core_from_the_top(P: SubgroupPoset) -> list:
     x is a beat point when some live node of its strict up-set is below
     every other one, or some live node of its strict down-set is above
     every other one."""
+    above, below = relation_as_sets(P)
     live = set(range(len(P)))
 
     def beat(x):
-        up = [u for u in P.above[x] if u in live]
-        down = [d for d in P.below[x] if d in live]
-        return (any(all(v == u or v in P.above[u] for v in up) for u in up)
-                or any(all(v == d or v in P.below[d] for v in down)
+        up = [u for u in above[x] if u in live]
+        down = [d for d in below[x] if d in live]
+        return (any(all(v == u or v in above[u] for v in up) for u in up)
+                or any(all(v == d or v in below[d] for v in down)
                        for d in down))
 
     removed = True
@@ -97,6 +148,50 @@ def beat_core_from_the_top(P: SubgroupPoset) -> list:
                 live.remove(x)
                 removed = True
     return sorted(live)
+
+
+def conjugacy_classes_by_subgroups(P: SubgroupPoset) -> list:
+    """The classes of `poset.conjugacy_classes`, by conjugating each
+    node's subgroup, member by member, by each generator of the ground
+    group and looking the result up in P."""
+    G = P.ground_group
+    seen = [False] * len(P)
+    classes = []
+    for i in range(len(P)):
+        if seen[i]:
+            continue
+        seen[i] = True
+        orbit = [i]
+        for j in orbit:
+            for g in G.generators:
+                k = P.index_of(gp.conjugate_subgroup(P.nodes[j], g))
+                if not seen[k]:
+                    seen[k] = True
+                    orbit.append(k)
+        classes.append(sorted(orbit))
+    return classes
+
+
+def find_conjunctive_element_by_pairs(P: SubgroupPoset) -> Optional[Subgroup]:
+    """The first node having a least upper bound with every node, or
+    None, by testing every upper bound of every pair against every
+    other one."""
+    above, below = relation_by_pairs(P)
+    n = len(P.nodes)
+    geq = [above[i] | {i} for i in range(n)]
+    for a in range(n):
+        ok = True
+        for x in range(n):
+            ub = geq[a] & geq[x]
+            if not ub:
+                ok = False
+                break
+            if not any(all(u == v or u in below[v] for v in ub) for u in ub):
+                ok = False
+                break
+        if ok:
+            return P.nodes[a]
+    return None
 
 
 def close_by_combinations(simplices) -> set:
@@ -436,6 +531,17 @@ def eliminate(rows: dict) -> list:
         diag.append(abs(rows[pi][pj]))
         remove(pi, pj)
     return diag
+
+
+def invariant_factors_by_pairs(diag: Sequence[int]) -> tuple:
+    """The divisibility chain by replacing each pair of non-unit entries
+    by its gcd and lcm, in order, with the 1s counted."""
+    rest = [d for d in diag if d != 1]
+    for i in range(len(rest)):
+        for j in range(i + 1, len(rest)):
+            g = math.gcd(rest[i], rest[j])
+            rest[i], rest[j] = g, rest[i] // g * rest[j]
+    return (1,) * (len(diag) - len(rest)) + tuple(sorted(rest))
 
 
 def invariant_factors(diag: Sequence[int]) -> tuple:

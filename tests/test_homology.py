@@ -414,6 +414,23 @@ def test_invariant_factors_match_the_factorization_chain():
         assert _invariant_factors(diag) == oracles.invariant_factors(diag)
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.sampled_from((1, 2, 3, 4, 6, 8, 9, 12, 16, 27, 36, 97)),
+                max_size=12))
+def test_invariant_factors_match_the_pairwise_chain(diag):
+    """On random multisets, chains among them (repeats of one order, or
+    powers of one prime), the result is the pairwise gcd/lcm chain's."""
+    assert _invariant_factors(diag) == oracles.invariant_factors_by_pairs(diag)
+
+
+def test_invariant_factors_of_many_repeated_factors():
+    """B(GL4(F3)) * RP^2's 729 factors 2 among 2916 units: already a
+    chain, so no pair is visited."""
+    diag = [1] * 2916 + [2] * 729
+    assert _invariant_factors(diag) == \
+        oracles.invariant_factors_by_pairs(diag) == (1,) * 2916 + (2,) * 729
+
+
 _NO_STALL = """import json, sys, time
 sys.path.insert(0, sys.argv[1])
 from oracles import sparse
@@ -674,7 +691,7 @@ def _assert_torus_posets(A):
     intervals that `TorusComplex.cohen_macaulay` reads."""
     _assert_core_homology(A)
     for x, *_ in ps.conjugacy_classes(A):
-        _assert_core_homology(A.induced(sorted(A.above[x])))
+        _assert_core_homology(A.induced(ps.bits(A.above[x])))
 
 
 @pytest.mark.parametrize("name,p", _manifest_rows(),

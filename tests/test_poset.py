@@ -1,13 +1,18 @@
 """Poset and simplicial-complex tests: Quillen/Brown/abelian posets,
 order complexes, links, joins, wedges, and the text format."""
 
+import json
+import os
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from quillen import constructions as cs
 from quillen import group as gp
 from quillen import poset as ps
+from quillen import theorems as th
 from quillen.errors import NodeNotInPoset, SimplexNotInComplex
+from quillen.homology import TorusComplex
 
 import oracles
 
@@ -96,6 +101,8 @@ def _primes(n):
 @pytest.mark.parametrize("name", [name for name in cs.catalog_names()
                                   if name not in LARGE])
 def test_above_and_below_match_all_pairs(name):
+    """The bitsets, read as sets of node indices, are the strict
+    inclusions found by comparing every pair of nodes."""
     G = G_of(name)
     for p in _primes(G.order):
         for P in (ps.quillen_poset(G, p), ps.brown_poset(G, p)):
@@ -103,9 +110,126 @@ def test_above_and_below_match_all_pairs(name):
             above = [frozenset(j for j in range(n) if i != j
                                and P.nodes[i] < P.nodes[j])
                      for i in range(n)]
-            assert P.above == above
-            assert P.below == [frozenset(j for j in range(n) if i in above[j])
-                               for i in range(n)]
+            assert [frozenset(ps.bits(m)) for m in P.above] == above
+            assert [frozenset(ps.bits(m)) for m in P.below] == \
+                [frozenset(j for j in range(n) if i in above[j])
+                 for i in range(n)]
+
+
+def _assert_matches_the_oracles(P):
+    """The relation, the core, the conjugacy classes and the conjunctive
+    element from bitsets equal the old engines' (tests/oracles.py)."""
+    assert oracles.relation_as_sets(P) == oracles.relation_by_pairs(P)
+    assert P.core() == oracles.core_by_sets(P)
+    assert ps.conjugacy_classes(P) == \
+        oracles.conjugacy_classes_by_subgroups(P)
+    assert ps.find_conjunctive_element(P) == \
+        oracles.find_conjunctive_element_by_pairs(P)
+    assert P.height() == max(
+        (len(c) for c in ps.order_complex(P).simplices), default=0) - 1
+
+
+def _assert_intervals_match_the_oracles(P):
+    """Every upper interval: its relation and core."""
+    for x in range(len(P)):
+        Q = P.induced(ps.bits(P.above[x]))
+        assert oracles.relation_as_sets(Q) == oracles.relation_by_pairs(Q)
+        assert Q.core() == oracles.core_by_sets(Q)
+
+
+def _manifest_rows():
+    path = os.path.join(os.path.dirname(cs.__file__), "suite_manifest.json")
+    with open(path) as fh:
+        return sorted({(i["name"], i["prime"])
+                       for i in json.load(fh)["instances"]})
+
+
+@pytest.mark.parametrize("name,p", _manifest_rows(), ids=str)
+def test_bitset_posets_match_the_oracles_on_manifest_rows(name, p):
+    """Torus and Brown posets of every suite row; of the two large
+    witnesses, the torus posets only (the Brown poset of
+    C3^4:(SD16oC4) has its own test, that of C3^4:(SD16oD8) 13644
+    nodes)."""
+    G = G_of(name)
+    A = ps.quillen_poset(G, p)
+    _assert_matches_the_oracles(A)
+    if name not in LARGE:
+        _assert_intervals_match_the_oracles(A)
+        _assert_matches_the_oracles(ps.brown_poset(G, p))
+
+
+def test_bitset_brown_poset_of_c3_to_the_fourth_matches_the_oracles():
+    P = ps.brown_poset(G_of("C3^4:(SD16oC4)"), 2)
+    assert len(P) == 2925
+    assert oracles.relation_as_sets(P) == oracles.relation_by_pairs(P)
+    assert P.core() == oracles.core_by_sets(P)
+    assert ps.conjugacy_classes(P) == \
+        oracles.conjugacy_classes_by_subgroups(P)
+
+
+def test_bitset_ab_poset_with_an_empty_witness_matches_the_oracles():
+    """Ab(D8oD8) holds the trivial subgroup, whose witness is empty: the
+    meet over no generators is every node."""
+    A = ps.ab_poset(G_of("D8oD8"))
+    assert A.nodes[0].generator_witness == ()
+    assert A.above[0] == (1 << len(A)) - 2
+    _assert_matches_the_oracles(A)
+    _assert_intervals_match_the_oracles(A)
+
+
+def test_wedge_formula_posets_match_the_oracles(monkeypatch):
+    """The poset of the NX that `verify_pulkus_welker` builds on S3^3 at
+    p = 2, whose witnesses generate its nodes, and the nodes of A it
+    takes inside each NA, which are those of A inside NA."""
+    T = TorusComplex(cs.direct_product([G_of("S3")] * 3), 2)
+    A = T.poset
+    seen, profiled = [], []
+    classes, profile = th.ps.conjugacy_classes, th.poset_homology
+
+    def record_classes(P):
+        seen.append(P)
+        return classes(P)
+
+    def record_profile(P):
+        profiled.append(frozenset(S.members for S in P.nodes))
+        return profile(P)
+
+    monkeypatch.setattr(th.ps, "conjugacy_classes", record_classes)
+    monkeypatch.setattr(th, "poset_homology", record_profile)
+    assert th.verify_pulkus_welker(T).agrees
+    monkeypatch.undo()
+    [PQ] = seen
+    for S in PQ.nodes:
+        assert T.group.closure(S.generator_witness) == S.member_set
+    _assert_matches_the_oracles(PQ)
+    _assert_intervals_match_the_oracles(PQ)
+    for cls in oracles.conjugacy_classes_by_subgroups(PQ):
+        NA = PQ.nodes[cls[0]]
+        if NA.order < T.group.order:
+            assert frozenset(X.members for X in A.nodes if X <= NA) \
+                in profiled
+
+
+def test_every_node_is_generated_by_its_witness():
+    """The relation rests on it: a node contains H exactly when it
+    holds H's generator witness."""
+    for name in cs.catalog_names():
+        G = G_of(name)
+        posets = [ps.ab_poset(G)] if G.order <= 64 else []
+        for p in _primes(G.order):
+            posets.append(ps.quillen_poset(G, p))
+            if name not in LARGE:
+                posets.append(ps.brown_poset(G, p))
+        for P in posets:
+            for S in P.nodes:
+                assert G.closure(S.generator_witness) == S.member_set, name
+
+
+def test_conjugacy_classes_refuse_a_poset_not_closed_under_conjugation():
+    G = G_of("S3")
+    P = ps.quillen_poset(G, 2)
+    with pytest.raises(NodeNotInPoset):
+        ps.conjugacy_classes(P.induced([0]))
 
 
 def test_find_conjunctive_element():
