@@ -257,10 +257,8 @@ def direct_product(factors: Sequence[Group],
     for F in factors:
         for g in F.generators:
             img = list(range(degree))
-            perm = F.elements[g]
-            for i, x in enumerate(perm):
-                img[off + i] = off + x
-            gens.append(tuple(img))
+            img[off:off + F.degree] = [off + x for x in F.images[g].tolist()]
+            gens.append(img)
         off += F.degree
     label = "x".join(F.label or "?" for F in factors)
     return gp.group_from_generators(degree, gens, cap=cap, label=label,
@@ -288,10 +286,10 @@ def central_product(A: Group, B: Group, pairs: Sequence[tuple],
     if len(B.closure(b for _, b in pairs)) != len(phi):
         raise PairingNotIsomorphism("pairing not surjective onto target")
     P = direct_product([A, B], cap=cap)
-    anti = [P.index[A.elements[a] + tuple(A.degree + x
-                                          for x in B.elements[B.inv(b)])]
-            for a, b in phi.items()]
-    K = Subgroup(P, P.closure(anti))
+    anti = P.ids([A.images[a].tolist()
+                  + [A.degree + x for x in B.images[B.inv(b)].tolist()]
+                  for a, b in phi.items()])
+    K = Subgroup(P, P.closure(anti.tolist()))
     if K.order != len(phi):
         raise PairingNotIsomorphism("anti-diagonal has wrong order")
     return gp.quotient_group(P, K,
@@ -501,7 +499,7 @@ def _c3c3_sl23_spec() -> GroupSpec:
 
     rows = []
     for hgen in H.generators:
-        perm = H.elements[hgen]
+        perm = H.images[hgen].tolist()
         # recover the matrix from the action on basis vectors of F_3^2;
         # the image of N-generator i is the image of e_i
         e1img = vecs[perm[vecs.index((1, 0))]]

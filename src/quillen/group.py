@@ -5,11 +5,14 @@ element ids (elements sorted lexicographically by image tuple, so the
 identity is always id 0).  A dense multiplication table makes all element
 arithmetic O(1), which keeps the subgroup-theoretic primitives cheap at
 desk scale.  Both come from breadth-first walks of the Cayley graph by
-left multiplication: the elements are enumerated as numpy arrays of
-images, and the table is filled row by row, only the generators' rows
-by lookup and every other row x = g*w as row g read at row w.  Its ids
-are int16, 2*order^2 bytes, so no group beyond TABLE_ORDER_CAP elements
-is built, whatever the caller's cap.  Element powers and orders are
+left multiplication: the elements are enumerated as a numpy array of
+images, which the group keeps as ``images``, and the table is filled
+from it, the generators' rows by one sorted-key search (``Group.ids``)
+and every other row, a level of the walk at a time, as x = g*w: row g
+read at row w.  The list of image tuples, ``elements``, is built only
+when it is first read.  Table ids are int16, 2*order^2 bytes, so no
+group beyond TABLE_ORDER_CAP elements is built, whatever the caller's
+cap.  Element powers and orders are
 whole-id arrays: ``powers(k)`` squares and multiplies table rows, and
 ``orders`` is read off it one prime at a time, so a p-element is an x
 with x^(p-part of |G|) = 1.  numpy is imported by the functions that
@@ -48,50 +51,89 @@ def validate_permutation(p: Sequence[int], degree: int) -> Perm:
 class Group:
     """A fully enumerated finite permutation group.
 
-    Immutable after construction; safe to share.  `elements[i]` is the
-    permutation with id ``i``; `table[i, j]` is the id of
-    ``elements[i] * elements[j]``.  The ``generator_ids`` must generate
-    the group: the table is filled along the walk they span.
+    Immutable after construction; safe to share.  ``elements`` (image
+    tuples, or an array of image rows) may come in any order, and ids
+    are their positions: `images[i]` is the permutation with id ``i``;
+    `table[i, j]` is the id of ``elements[i] * elements[j]``.  The
+    ``generator_ids`` must generate the group: the table is filled along
+    the walk they span.
     """
 
-    def __init__(self, degree: int, elements: list, generator_ids: tuple,
+    def __init__(self, degree: int, elements, generator_ids: tuple,
                  provenance: str = "given generators", label: str = ""):
+        import numpy as np
         self.degree = degree
-        self.elements = elements
-        self.index = {p: i for i, p in enumerate(elements)}
+        self.images = np.asarray(elements, dtype=_image_dtype(degree)).reshape(
+            len(elements), degree)
         self.generators = generator_ids
         self.provenance = provenance
         self.label = label
-        self.order = len(elements)
-        self.identity = self.index[tuple(range(degree))]
-        assert self.identity == 0, "identity must sort first"
+        self.order = len(self.images)
+        self.identity = 0
+        assert (self.images[0] == np.arange(degree)).all(), \
+            "identity must sort first"
         self.table = self._build_table()
         self.inverse = self._build_inverses()
+
+    @cached_property
+    def elements(self) -> list:
+        """`elements[i]` is the image tuple of id i, built from ``images``
+        when first read.  The tuples share one int object per point, so
+        that a large degree costs a pointer per image."""
+        import numpy as np
+        points = np.array(range(self.degree), dtype=object)
+        return list(map(tuple, points[self.images].tolist()))
+
+    def ids(self, rows) -> np.ndarray:
+        """The ids of the image rows ``rows`` (m x degree), by a binary
+        search of each row's key among the sorted keys of the elements.
+        A row that is not an element raises KeyError."""
+        import numpy as np
+        keys, by_key = self._sorted_keys
+        q = _keys(np.asarray(rows, dtype=self.images.dtype)
+                  .reshape(-1, self.degree))
+        # a key past the last wraps to position 0, and fails the test below
+        at = by_key[np.searchsorted(keys, q, sorter=by_key) % self.order]
+        if (keys[at] != q).any():
+            raise KeyError("a row is not an element of the group")
+        return at
+
+    @cached_property
+    def _sorted_keys(self) -> tuple:
+        """Each element's image row as one fixed-width key, with the
+        argsort of the keys."""
+        import numpy as np
+        keys = _keys(self.images)
+        return keys, np.argsort(keys)
 
     # -- construction ---------------------------------------------------
 
     def _build_table(self) -> np.ndarray:
-        """Row i holds the ids of elements[i] * elements[j].  A generator's
-        row is looked up in the index, one product at a time; every other
-        row is filled from its parent on a breadth-first walk from the
-        identity: x = g*w has row(x) = row(g)[row(w)]."""
+        """Row i holds the ids of elements[i] * elements[j].  The
+        generators' rows are found by one ``ids`` search each; the other
+        rows are filled breadth first from the identity, a whole level of
+        the Cayley graph at a time: x = g*w has row(x) = row(g)[row(w)]."""
         import numpy as np
-        n, gens = self.order, self.generators
-        E = np.array(self.elements, dtype=_image_dtype(self.degree))
+        n, gens, E = self.order, self.generators, self.images
         table = np.empty((n, n), dtype=np.int16)
         table[0] = np.arange(n)
         for g in gens:
-            table[g] = [self.index[p] for p in _tuples(E[g][E], self.degree)]
-        queue = [0, *gens]  # the rows filled so far, in walk order
-        seen = set(queue)
-        for w in queue:
+            table[g] = self.ids(E[g][E])
+        done = np.zeros(n, dtype=bool)  # the rows filled so far
+        done[[0, *gens]] = True
+        level = np.flatnonzero(done)
+        while level.size:
+            new = [level[:0]]  # one array to concatenate with no generators
             for g in gens:
-                x = int(table[g, w])
-                if x not in seen:
-                    seen.add(x)
-                    queue.append(x)
-                    np.take(table[g], table[w], out=table[x])
-        assert len(seen) == n, "the generators must generate the group"
+                kids = table[g, level]  # distinct: x -> g*x is injective
+                fresh = ~done[kids]
+                x, tg = kids[fresh], table[g]
+                done[x] = True
+                for xi, w in zip(x.tolist(), level[fresh].tolist()):
+                    tg.take(table[w], out=table[xi])
+                new.append(x)
+            level = np.concatenate(new)
+        assert done.all(), "the generators must generate the group"
         return table
 
     def _build_inverses(self) -> np.ndarray:
@@ -275,8 +317,8 @@ def group_from_generators(degree: int, gens: Sequence[Sequence[int]], *,
     order = np.lexsort(E.T[::-1]) if degree else [0]  # id -> place in the walk
     at = [walk[g.tobytes()] for g in gmat]
     gen_ids = tuple(int(i) for i in np.flatnonzero(np.isin(order, at)) if i)
-    return Group(degree, list(_tuples(E[order], degree)), gen_ids,
-                 provenance=provenance, label=label)
+    return Group(degree, E[order], gen_ids, provenance=provenance,
+                 label=label)
 
 
 def _image_dtype(degree: int) -> np.dtype:
@@ -285,11 +327,11 @@ def _image_dtype(degree: int) -> np.dtype:
     return np.min_scalar_type(max(degree - 1, 0))
 
 
-def _tuples(images: np.ndarray, degree: int):
-    """The rows of an array of images as tuples that share one int object
-    per point, so that a large degree costs a pointer per image."""
+def _keys(rows: np.ndarray) -> np.ndarray:
+    """Each row of a 2D array as one fixed-width ``np.void`` key."""
     import numpy as np
-    return map(tuple, np.array(range(degree), dtype=object)[images].tolist())
+    rows = np.ascontiguousarray(rows)
+    return rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
 
 
 # -- spec operations ----------------------------------------------------
@@ -550,14 +592,16 @@ def _grow(G: Group, amb: frozenset, start: frozenset, gens: tuple,
     H<g> = H·<g> in ``amb``.  (members, generators) pairs, sorted by
     (order, members)."""
     import numpy as np
-    found, queue = {start: gens}, [start]
+    found, queue, cyclic = {start: gens}, [start], {}
     ids = np.array(sorted(amb), dtype=np.intp)
     for H in queue:
         h, done = np.fromiter(H, dtype=np.intp, count=len(H))[:, None], set(H)
         for g in steps(H, found[H], ids):
             if g in done:
                 continue
-            HG = G.table[h, _cyclic_ids(G, g)]  # column k is the coset Hg^k
+            if g not in cyclic:
+                cyclic[g] = _cyclic_ids(G, g)
+            HG = G.table[h, cyclic[g]]  # column k is the coset Hg^k
             done.update(HG[:, 1].tolist())
             K = frozenset(HG.ravel().tolist())
             if K not in found:

@@ -670,6 +670,33 @@ def p_length_by_phases(G: Group, p: int) -> tuple:
     return tuple(series), plen
 
 
+# -- the old Cayley table engine ----------------------------------------
+
+def table_by_index_lookup(G: Group) -> tuple:
+    """G's Cayley table and inverses as built from element tuples: each
+    generator row by one dictionary lookup per product, every other row
+    x = g*w as row g read at row w, in the order a queue of the walk from
+    the identity reaches them."""
+    n, gens = G.order, G.generators
+    index = {p: i for i, p in enumerate(G.elements)}
+    E = np.array(G.elements, dtype=np.int64).reshape(n, G.degree)
+    table = np.empty((n, n), dtype=np.int16)
+    table[0] = np.arange(n)
+    for g in gens:
+        table[g] = [index[tuple(p)] for p in E[g][E].tolist()]
+    queue = [0, *gens]  # the rows filled so far, in walk order
+    seen = set(queue)
+    for w in queue:
+        for g in gens:
+            x = int(table[g, w])
+            if x not in seen:
+                seen.add(x)
+                queue.append(x)
+                np.take(table[g], table[w], out=table[x])
+    assert len(seen) == n, "the generators must generate the group"
+    return table, table.argmin(axis=1).astype(table.dtype)
+
+
 # -- groups from multiplication tables ----------------------------------
 
 def group_from_table(table: Sequence[Sequence[int]], *,
@@ -818,7 +845,8 @@ def quotient_by_table(S, N: Subgroup) -> Quotient:
     qtable = [[rep_index[cmin[G.mul(a, b)]] for b in reps] for a in reps]
     Q = group_from_table(qtable, cap=max(DEFAULT_ELEMENT_CAP, len(reps)),
                          provenance="coset action (regular)")
-    hom = {s: Q.index[tuple(qtable[rep_index[cmin[s]]])] for s in S.members}
+    qid = Q.ids(qtable).tolist()  # qid[i] is the id of coset reps[i]
+    hom = {s: qid[rep_index[cmin[s]]] for s in S.members}
     return Quotient(G, Q, hom)
 
 

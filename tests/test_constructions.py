@@ -234,6 +234,9 @@ def test_regular_representation_matches_table_path(name):
     assert G.provenance == "regular representation"
     assert (G.elements, G.generators, G.degree, G.provenance, G.label) == \
         (old.elements, old.generators, old.degree, old.provenance, old.label)
+    table, inverse = oracles.table_by_index_lookup(G)
+    assert (G.table.tolist(), G.inverse.tolist()) == \
+        (table.tolist(), inverse.tolist())
 
 
 @pytest.mark.parametrize("name", _catalog_of_kind("central_product"))
@@ -330,10 +333,9 @@ GOLDEN_ELEMENTS = os.path.join(os.path.dirname(__file__), "golden",
                                "catalog_elements.json")
 
 
-def catalog_elements(name) -> dict:
+def catalog_elements(G) -> dict:
     """What pins a catalog group's element ids: its order, degree,
     generator ids and a sha256 of its sorted element list."""
-    G = cs.catalog_group(name)
     digest = hashlib.sha256(json.dumps(G.elements).encode()).hexdigest()
     return {"order": G.order, "degree": G.degree,
             "generators": list(G.generators), "elements_sha256": digest}
@@ -341,8 +343,10 @@ def catalog_elements(name) -> dict:
 
 @pytest.mark.parametrize("name", cs.catalog_names())
 def test_catalog_elements_match_pinned(name):
+    G = cs.build(cs.catalog(name))
+    assert "elements" not in G.__dict__  # built when first read
     with open(GOLDEN_ELEMENTS, encoding="utf-8") as fh:
-        assert catalog_elements(name) == json.load(fh)[name]
+        assert catalog_elements(G) == json.load(fh)[name]
 
 
 def test_catalog_names_listed():
@@ -353,7 +357,8 @@ def test_catalog_names_listed():
 
 
 if __name__ == "__main__":
-    pinned = {name: catalog_elements(name) for name in cs.catalog_names()}
+    pinned = {name: catalog_elements(cs.catalog_group(name))
+              for name in cs.catalog_names()}
     with open(GOLDEN_ELEMENTS, "w", encoding="utf-8") as fh:
         json.dump(pinned, fh, indent=1, sort_keys=True)
         fh.write("\n")

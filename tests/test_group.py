@@ -541,6 +541,17 @@ def test_table_matches_lookup_on_catalog(name):
     _assert_table_exact(G_of(name))
 
 
+def _assert_table_as_by_index_lookup(G):
+    table, inverse = oracles.table_by_index_lookup(G)
+    assert np.array_equal(G.table, table)
+    assert np.array_equal(G.inverse, inverse)
+
+
+@pytest.mark.parametrize("name", cs.catalog_names())
+def test_table_matches_index_lookup_on_catalog(name):
+    _assert_table_as_by_index_lookup(G_of(name))
+
+
 def _moved_to(perm, off, degree):
     """``perm`` acting on off, off+1, ... and fixing the other points."""
     img = list(range(degree))
@@ -554,6 +565,7 @@ def test_table_matches_lookup_on_long_bases_and_high_degree():
     G = cs.direct_product([S4, A4])
     assert G.degree == 8
     _assert_table_exact(G)
+    _assert_table_as_by_index_lookup(G)
     # C3 on points 0..2 times S4 x A4 on points 256..263 of 264
     gens = ([_moved_to(S4.elements[g], 256, 264) for g in S4.generators]
             + [_moved_to(A4.elements[g], 260, 264) for g in A4.generators]
@@ -561,6 +573,7 @@ def test_table_matches_lookup_on_long_bases_and_high_degree():
     H = gp.group_from_generators(264, gens)
     assert H.order == 3 * 288
     _assert_table_exact(H)
+    _assert_table_as_by_index_lookup(H)
     assert gp.group_from_generators(1, []).table.tolist() == [[0]]
 
 
@@ -571,12 +584,55 @@ def test_table_ids_follow_the_element_list():
     _assert_table_exact(gp.Group(4, S4.elements[:1] + S4.elements[:0:-1], gens))
 
 
+def test_ids_find_rows_in_any_order_and_refuse_other_rows():
+    S4, A4 = G_of("S4"), G_of("A4")
+    back = np.arange(S4.order)[:0:-1]  # every id but the identity's, reversed
+    R = gp.Group(4, S4.elements[:1] + S4.elements[:0:-1],
+                 tuple(sorted(S4.order - g for g in S4.generators)))
+    assert R.ids(S4.images[back]).tolist() == (S4.order - back).tolist()
+    shuffle = np.random.default_rng(0).permutation(S4.order)
+    assert S4.ids(S4.images[shuffle]).tolist() == shuffle.tolist()
+    assert A4.ids([list(A4.elements[5])]).tolist() == [5]
+    # at degree > 256 a point is two bytes, little-endian: the key of
+    # image 256 sorts before the key of image 255
+    swaps = [[{0: j, j: 0}.get(x, x) for x in range(300)] for j in (255, 256)]
+    H = gp.group_from_generators(300, swaps)
+    assert [int(H.images[i, 0]) for i in range(6)] == [0, 0, 255, 255, 256, 256]
+    assert H.ids(H.images[::-1]).tolist() == [5, 4, 3, 2, 1, 0]
+    with pytest.raises(KeyError):
+        A4.ids([[0, 1, 2, 3], [1, 0, 2, 3]])  # a transposition is odd
+
+
+def test_group_of_a_list_that_is_not_closed_is_refused():
+    S4 = G_of("S4")
+    assert max(S4.generators) < S4.order - 1
+    with pytest.raises(KeyError):
+        gp.Group(4, S4.elements[:-1], S4.generators)
+
+
+def test_products_build_no_element_tuples():
+    """``elements`` is built from the images when first read, and no
+    product builder reads it."""
+    for order, spec in [
+            (432, {"kind": "direct_product", "params": {"factors": [
+                {"kind": "named", "params": {"name": "C3C3:SL(2,3)"}},
+                {"kind": "cyclic", "params": {"order": 2}}]}}),
+            (2048, {"kind": "semidirect_product", "params": {
+                "n": {"kind": "cyclic", "params": {"order": 1024}},
+                "h": {"kind": "cyclic", "params": {"order": 2}},
+                "action": {"gen_images": [[1023]]}}})]:
+        G = cs.build(cs.GroupSpec.from_json(spec))
+        assert G.order == order and "elements" not in G.__dict__
+        assert G.elements[1] == tuple(G.images[1].tolist())
+
+
 def test_images_keep_a_dtype_that_fits_the_degree():
     # ids are int16, but a perm spec's degree is not capped
     swap = list(range(1, 39999)) + [40000, 39999]
     G = cs.build(cs.GroupSpec("perm", {"degree": 40000, "generators": [swap]}))
     assert G.order == 2 and G.elements[1][-2:] == (39999, 39998)
     assert G.table.tolist() == [[0, 1], [1, 0]]
+    _assert_table_as_by_index_lookup(G)
 
 
 def test_table_matches_lookup_at_scale():
@@ -606,6 +662,7 @@ def test_table_matches_lookup_on_regular_representations(name):
     assert R.degree == R.order == G.order
     assert R.elements == oracles.group_from_table(G.table.tolist()).elements
     _assert_table_exact(R)
+    _assert_table_as_by_index_lookup(R)
 
 
 def _p_length_section(G, p):
