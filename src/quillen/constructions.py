@@ -2,7 +2,8 @@
 cyclic, dihedral, semidihedral, quaternion, elementary abelian,
 extraspecial, direct/central/semidirect products, and a named catalog.
 
-Every builder writes permutation generators and enumerates the group
+A direct product is read off its factors, with no enumeration.  Every
+other builder writes permutation generators and enumerates the group
 they generate.  It prefers a small natural faithful action where one is
 obvious; otherwise (quaternion, Heisenberg, semidirect product) it writes
 the regular representation, the left translations x -> g*x of the
@@ -243,26 +244,43 @@ def _regular_representation(order: int, cap: int, label: str):
 
 def direct_product(factors: Sequence[Group],
                    cap: int = DEFAULT_ELEMENT_CAP) -> Group:
-    """Direct product acting on the disjoint union of the factor domains."""
+    """Direct product acting on the disjoint union of the factor domains,
+    read off the factors with no walk.  The element (i_1, ..., i_k) of
+    factor ids has id ((i_1*n_2 + i_2)*n_3 + ...), the mixed-radix
+    number over the factor orders n_f, and its image is the factor images
+    side by side, each block shifted past the blocks before it.  When
+    every factor's ids are the ranks of its image tuples, as for every
+    group built here, so are the product's.  The table entry of two ids
+    is the mixed-radix number of the factor table entries.  The order is
+    checked against the cap, and TABLE_ORDER_CAP, before any array is
+    allocated."""
+    import numpy as np
     if not factors:
         return cyclic(1)
+    cap = min(cap, gp.TABLE_ORDER_CAP)
     order = 1
     for F in factors:
         order *= F.order
         if order > cap:
             raise gp.GroupTooLarge(f"direct product order exceeds cap {cap}")
     degree = sum(F.degree for F in factors)
-    gens = []
-    off = 0
+    dtype = gp._image_dtype(degree)
+    images = np.empty((order, degree), dtype=dtype)
+    table = np.zeros((1, 1), dtype=np.int16)
+    gens, off, before = [], 0, 1  # before: the order of the factors so far
     for F in factors:
-        for g in F.generators:
-            img = list(range(degree))
-            img[off:off + F.degree] = [off + x for x in F.images[g].tolist()]
-            gens.append(img)
-        off += F.degree
+        n = F.order
+        after = order // (before * n)
+        images.reshape(before, n, after, degree)[..., off:off + F.degree] = \
+            (F.images.astype(dtype) + off)[None, :, None, :]
+        # every entry is below order <= TABLE_ORDER_CAP, so int16 throughout
+        table = (table[:, None, :, None] * np.int16(n)
+                 + F.table[None, :, None, :]).reshape(before * n, before * n)
+        gens += [g * after for g in F.generators if g]
+        off, before = off + F.degree, before * n
     label = "x".join(F.label or "?" for F in factors)
-    return gp.group_from_generators(degree, gens, cap=cap, label=label,
-                                    provenance="disjoint union of factor actions")
+    return Group(degree, images, tuple(sorted(gens)), table=table, label=label,
+                 provenance="disjoint union of factor actions")
 
 
 def central_product(A: Group, B: Group, pairs: Sequence[tuple],
@@ -286,10 +304,8 @@ def central_product(A: Group, B: Group, pairs: Sequence[tuple],
     if len(B.closure(b for _, b in pairs)) != len(phi):
         raise PairingNotIsomorphism("pairing not surjective onto target")
     P = direct_product([A, B], cap=cap)
-    anti = P.ids([A.images[a].tolist()
-                  + [A.degree + x for x in B.images[B.inv(b)].tolist()]
-                  for a, b in phi.items()])
-    K = Subgroup(P, P.closure(anti.tolist()))
+    # (a, b^-1) has the mixed-radix id a*|B| + id(b^-1) in A x B
+    K = Subgroup(P, P.closure(a * B.order + B.inv(b) for a, b in phi.items()))
     if K.order != len(phi):
         raise PairingNotIsomorphism("anti-diagonal has wrong order")
     return gp.quotient_group(P, K,

@@ -4,21 +4,23 @@ Groups are fully enumerated permutation groups with canonical integer
 element ids (elements sorted lexicographically by image tuple, so the
 identity is always id 0).  A dense multiplication table makes all element
 arithmetic O(1), which keeps the subgroup-theoretic primitives cheap at
-desk scale.  Both come from breadth-first walks of the Cayley graph by
-left multiplication: the elements are enumerated as a numpy array of
-images, which the group keeps as ``images``, and the table is filled
-from it, the generators' rows by one sorted-key search (``Group.ids``)
-and every other row, a level of the walk at a time, as x = g*w: row g
-read at row w.  The list of image tuples, ``elements``, is built only
-when it is first read.  Table ids are int16, 2*order^2 bytes, so no
-group beyond TABLE_ORDER_CAP elements is built, whatever the caller's
-cap.  Element powers and orders are
-whole-id arrays: ``powers(k)`` squares and multiplies table rows, and
-``orders`` is read off it one prime at a time, so a p-element is an x
-with x^(p-part of |G|) = 1.  numpy is imported by the functions that
-use it, so that importing the package, and commands that build no
-group, do not load it.  Subgroups are immutable member-id sets inside a
-parent group.
+desk scale.  A direct product is given both, the numpy array of its
+images and its table, read off its factors in closed form
+(``constructions.direct_product``).  Every other group gets them from
+breadth-first walks of the Cayley graph by left multiplication: the
+elements are enumerated as a numpy array of images, which the group
+keeps as ``images``, and the table is filled from it, the generators'
+rows by one sorted-key search (``Group.ids``) and every other row, a
+level of the walk at a time, as x = g*w: row g read at row w.  The list
+of image tuples, ``elements``, is built only when it is first read.
+Table ids are int16, 2*order^2 bytes, so no group beyond
+TABLE_ORDER_CAP elements is built, whatever the caller's cap.  Element
+powers and orders are whole-id arrays: ``powers(k)`` squares and
+multiplies table rows, and ``orders`` is read off it one prime at a
+time, so a p-element is an x with x^(p-part of |G|) = 1.  numpy is
+imported by the functions that use it, so that importing the package,
+and commands that build no group, do not load it.  Subgroups are
+immutable member-id sets inside a parent group.
 """
 
 from __future__ import annotations
@@ -56,11 +58,13 @@ class Group:
     are their positions: `images[i]` is the permutation with id ``i``;
     `table[i, j]` is the id of ``elements[i] * elements[j]``.  The
     ``generator_ids`` must generate the group: the table is filled along
-    the walk they span.
+    the walk they span, unless it is given as ``table`` (int16, with
+    ids the positions of ``elements``).
     """
 
     def __init__(self, degree: int, elements, generator_ids: tuple,
-                 provenance: str = "given generators", label: str = ""):
+                 provenance: str = "given generators", label: str = "",
+                 table=None):
         import numpy as np
         self.degree = degree
         self.images = np.asarray(elements, dtype=_image_dtype(degree)).reshape(
@@ -72,7 +76,11 @@ class Group:
         self.identity = 0
         assert (self.images[0] == np.arange(degree)).all(), \
             "identity must sort first"
-        self.table = self._build_table()
+        if table is None:
+            table = self._build_table()
+        assert table.shape == (self.order, self.order) \
+            and table.dtype == np.int16, "the table must be int16, order^2"
+        self.table = table
         self.inverse = self._build_inverses()
 
     @cached_property
@@ -476,13 +484,17 @@ def _is_p_power(n: int, p: int) -> bool:
     return _p_prime_part(n, p) == 1
 
 
-def o_p(G: Group, p: int, N: Optional[Subgroup] = None) -> Subgroup:
+def o_p(G: Group, p: int, N: Optional[Subgroup] = None,
+        P: Optional[Subgroup] = None) -> Subgroup:
     """Largest normal subgroup that is a p-group modulo the normal
-    subgroup N (default 1): the preimage of O_p(G/N).  The Sylow
+    subgroup N (default 1): the preimage of O_p(G/N).  With P a Sylow
+    p-subgroup of G (default ``sylow_subgroup(G, p)``), the Sylow
     subgroups of G/N are the P^gN/N, so this is the core of PN, cut
     down by its conjugates under G's generators to a fixed point."""
     Nm = N.members if N is not None else (G.identity,)
-    core = set(_product_set(G, sylow_subgroup(G, p).members, Nm))
+    if P is None:
+        P = sylow_subgroup(G, p)
+    core = set(_product_set(G, P.members, Nm))
     t, inv, size = G.table, G.inverse, 0
     while size != len(core):
         size = len(core)

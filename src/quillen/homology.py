@@ -485,7 +485,7 @@ class TorusComplex:
 
     @cached_property
     def o_p(self) -> Subgroup:
-        return gp.o_p(self.group, self.prime)
+        return gp.o_p(self.group, self.prime, P=self.sylow)
 
     @cached_property
     def o_p_prime(self) -> Subgroup:
@@ -502,8 +502,10 @@ class TorusComplex:
         while series[-1].order < G.order:
             if len(series) == 1:
                 nxt = self.o_p if phase_p else self.o_p_prime
+            elif phase_p:
+                nxt = gp.o_p(G, p, series[-1], P=self.sylow)
             else:
-                nxt = (gp.o_p if phase_p else gp.o_p_prime)(G, p, series[-1])
+                nxt = gp.o_p_prime(G, p, series[-1])
             if nxt.order > series[-1].order:
                 series.append(nxt)
             phase_p = not phase_p

@@ -13,7 +13,8 @@ normalizers, the list of Sylow subgroups and the rank read off every
 torus; the subgroup enumerators' old engine, which asks a member
 predicate (g centralizes H, or g extends the p-subgroup H) once per
 subgroup and candidate, with the Sylow scan built on it; and the group
-builders that the permutation-generator path replaced: groups from a
+builders that the permutation-generator path replaced: direct products
+by a walk of their Cayley graph, the closed form's oracle; groups from a
 full multiplication table (the quaternion, Heisenberg and semidirect
 product multiplications among them), quotient groups with their
 projection, and the wedge formula's right-hand side over a quotient
@@ -37,6 +38,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from quillen import constructions as cs
 from quillen import group as gp
 from quillen import poset as ps
 from quillen.errors import (
@@ -695,6 +697,32 @@ def table_by_index_lookup(G: Group) -> tuple:
                 np.take(table[g], table[w], out=table[x])
     assert len(seen) == n, "the generators must generate the group"
     return table, table.argmin(axis=1).astype(table.dtype)
+
+
+def direct_product_by_walk(factors: Sequence[Group],
+                           cap: int = DEFAULT_ELEMENT_CAP) -> Group:
+    """The direct product on the disjoint union of the factor domains,
+    enumerated by a walk of the Cayley graph of the factor generators,
+    each moved onto its factor's block of points."""
+    if not factors:
+        return cs.cyclic(1)
+    order = 1
+    for F in factors:
+        order *= F.order
+        if order > cap:
+            raise GroupTooLarge(f"direct product order exceeds cap {cap}")
+    degree = sum(F.degree for F in factors)
+    gens = []
+    off = 0
+    for F in factors:
+        for g in F.generators:
+            img = list(range(degree))
+            img[off:off + F.degree] = [off + x for x in F.images[g].tolist()]
+            gens.append(img)
+        off += F.degree
+    label = "x".join(F.label or "?" for F in factors)
+    return gp.group_from_generators(degree, gens, cap=cap, label=label,
+                                    provenance="disjoint union of factor actions")
 
 
 # -- groups from multiplication tables ----------------------------------

@@ -324,20 +324,15 @@ P_LOCAL = ("sylow_subgroup", "o_p", "o_p_prime", "is_solvable")
 
 
 def _count_p_local_calls(monkeypatch):
-    """Wrap the p-local primitives of `group`; count each call made with
-    the default N and outside another counted call (o_p grows its own
-    Sylow subgroup), keyed by function and arguments."""
-    calls, depth = Counter(), [0]
+    """Wrap the p-local primitives of `group`; count every call, nested
+    ones included, keyed by function, group, prime and N."""
+    calls = Counter()
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
-            if depth[0] == 0 and len(args) <= 2 and not kwargs:
-                calls[(name,) + args] += 1
-            depth[0] += 1
-            try:
-                return fn(*args, **kwargs)
-            finally:
-                depth[0] -= 1
+            N = args[2] if len(args) > 2 else kwargs.get("N")
+            calls[(name,) + args[:2] + (N,)] += 1
+            return fn(*args, **kwargs)
         return wrapper
 
     for name in P_LOCAL:
@@ -351,12 +346,14 @@ def _count_p_local_calls(monkeypatch):
 ], ids=["plength", "suite-row"])
 def test_p_local_data_is_computed_once(argv, monkeypatch, capsys):
     """One command, or one suite row, computes the Sylow subgroup, O_p,
-    O_p' and solvability of its group at its prime at most once each:
-    every check reads them from the row's `TorusComplex`."""
+    O_p' and solvability of its group at its prime at most once each,
+    and each term of the p-series once: every check reads them from the
+    row's `TorusComplex`, and O_p takes its Sylow subgroup."""
     calls = _count_p_local_calls(monkeypatch)
     assert cli.main(argv) == 0
     assert {key[0] for key in calls} == set(P_LOCAL)
     assert max(calls.values()) == 1, calls
+    assert sum(key[0] == "sylow_subgroup" for key in calls) == 1, calls
 
 
 def test_parser_is_built_once_and_keeps_no_state(monkeypatch, capsys):

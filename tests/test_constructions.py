@@ -5,6 +5,7 @@ import hashlib
 import json
 import os
 
+import numpy as np
 import pytest
 
 from quillen import constructions as cs
@@ -86,6 +87,125 @@ def test_direct_product():
     assert G.order == 6 and gp.is_cyclic(G)
     H = cs.direct_product([cs.dihedral(16), cs.cyclic(2)])
     assert H.order == 32 and gp.center(H).order == 4
+
+
+def _catalog_of_kind(kind):
+    return [n for n in cs.catalog_names() if cs.catalog(n).kind == kind]
+
+
+def _assert_as_by_walk(G, old):
+    """G equals the group that the Cayley-graph walk builds from the
+    same factors, and has built no element tuples."""
+    assert "elements" not in G.__dict__
+    assert G.images.dtype == old.images.dtype
+    assert np.array_equal(G.images, old.images)
+    assert G.generators == old.generators
+    assert G.table.dtype == old.table.dtype
+    assert np.array_equal(G.table, old.table)
+    assert np.array_equal(G.inverse, old.inverse)
+    assert (G.degree, G.label, G.provenance) == \
+        (old.degree, old.label, old.provenance)
+
+
+def _spec_factors(spec):
+    if spec.kind == "direct_product":
+        return spec.params["factors"]
+    return [spec.params["a"], spec.params["b"]]  # the A x B of A o B
+
+
+def _frobenius(n, h, r):
+    return cs.GroupSpec("semidirect_product", {
+        "n": cs.GroupSpec("cyclic", {"order": n}),
+        "h": cs.GroupSpec("cyclic", {"order": h}),
+        "action": {"gen_images": [[r]]}})
+
+
+def _named(*names):
+    return [cs.GroupSpec("named", {"name": n}) for n in names]
+
+
+def _dihedral(order):
+    return cs.GroupSpec("dihedral", {"order": order})
+
+
+# the factor lists of the cm-products and group-products benchmark
+# workloads
+WORKLOAD_FACTORS = {
+    "S3xS3xS3": _named("S3", "S3", "S3"),
+    "D10xD14": [_dihedral(10), _dihedral(14)],
+    "S3xD14": [*_named("S3"), _dihedral(14)],
+    "D14xD14": [_dihedral(14), _dihedral(14)],
+    "S3xD10": [*_named("S3"), _dihedral(10)],
+    "S3xS3": _named("S3", "S3"),
+    "C7:C3xC7:C3": _named("C7:C3", "C7:C3"),
+    "S4xA4": _named("S4", "A4"),
+    "S4xC5:V4": _named("S4", "C5:V4"),
+    "S4xC7:C3": _named("S4", "C7:C3"),
+    "SL(2,3)xC7:C3": _named("SL(2,3)", "C7:C3"),
+    "C3C3:SL(2,3)xC2": _named("C3C3:SL(2,3)", "C2"),
+}
+PRODUCT_FACTORS = {
+    **{n: _spec_factors(cs.catalog(n))
+       for n in ["D16xC2", "ES27+xC3", *_catalog_of_kind("central_product")]},
+    **{f"{n}-{way}": fs[::step] for n, fs in WORKLOAD_FACTORS.items()
+       for way, step in (("given", 1), ("reversed", -1))},
+    "(C7:C3)x(C13:C3)xC3xC3": [_frobenius(7, 3, 2), _frobenius(13, 3, 3),
+                               cs.GroupSpec("cyclic", {"order": 3}),
+                               cs.GroupSpec("cyclic", {"order": 3})],
+    # one-byte factor images whose block runs past point 255
+    "C2xC100, degree 300": [
+        cs.GroupSpec("perm", {"degree": 200,
+                              "generators": [[2, 1, *range(3, 201)]]}),
+        cs.GroupSpec("cyclic", {"order": 100})],
+}
+
+
+@pytest.mark.parametrize("name", list(PRODUCT_FACTORS))
+def test_direct_product_matches_the_walk(name):
+    factors = [cs.build(f) for f in PRODUCT_FACTORS[name]]
+    cap = gp.TABLE_ORDER_CAP
+    _assert_as_by_walk(cs.direct_product(factors, cap),
+                       oracles.direct_product_by_walk(factors, cap))
+
+
+def test_direct_product_of_none_and_of_one_factor():
+    _assert_as_by_walk(cs.direct_product([]),
+                       oracles.direct_product_by_walk([]))
+    for name in ("S4", "C3C3:SL(2,3)"):
+        F = cs.catalog_group(name)
+        _assert_as_by_walk(cs.direct_product([F]),
+                           oracles.direct_product_by_walk([F]))
+
+
+def test_direct_product_matches_the_walk_at_the_cap():
+    """S4^3, order 13824: compared by digests, so that only one table
+    of 382 MB is held at a time."""
+    def digest(G):
+        assert "elements" not in G.__dict__
+        parts = (G.images, G.table, G.inverse, np.array(G.generators))
+        return ([a.dtype.str for a in parts[:3]],
+                [hashlib.sha256(a.tobytes()).hexdigest() for a in parts],
+                G.degree, G.label, G.provenance)
+    S4, cap = cs.catalog_group("S4"), gp.TABLE_ORDER_CAP
+    new = digest(cs.direct_product([S4] * 3, cap))
+    assert new == digest(oracles.direct_product_by_walk([S4] * 3, cap))
+
+
+def test_central_product_divides_out_the_anti_diagonal(monkeypatch):
+    """In A x B the central product divides out the (a, b^-1), a^k
+    paired with b^k: here for an order-3 pairing, so b^-1 is not b, with
+    the ids found by the image rows of the pairs."""
+    quotients = []
+    monkeypatch.setattr(gp, "quotient_group", lambda P, K, label="":
+                        quotients.append((P, K)))
+    A = B = cs._heisenberg(3, gp.DEFAULT_ELEMENT_CAP)
+    z = cs._canonical_central_of_order(A, 3)
+    cs.central_product(A, B, [(z, z)])
+    (P, K), = quotients
+    rows = [A.images[x].tolist()
+            + [A.degree + y for y in B.images[B.inv(x)].tolist()]
+            for x in (0, z, A.mul(z, z))]
+    assert K.member_set == set(P.ids(rows).tolist())
 
 
 def test_central_product_d8_d8():
@@ -198,10 +318,6 @@ def _c49_c21():
     g = N.generators[0]  # x -> x^2 has order 21 mod 49
     aut = cs.automorphism_from_generator_images(N, {g: int(N.powers(2)[g])})
     return N, H, {H.generators[0]: aut}
-
-
-def _catalog_of_kind(kind):
-    return [n for n in cs.catalog_names() if cs.catalog(n).kind == kind]
 
 
 def _catalog_semidirect(name):

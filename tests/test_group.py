@@ -3,6 +3,7 @@ Sylow theory, quotients, and the p-series."""
 
 import itertools
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -109,6 +110,16 @@ def test_table_bound_caps_every_cap():
     # an abstract multiplication is refused before a product is listed
     with pytest.raises(GroupTooLarge, match="exceeds cap 16384"):
         cs.quaternion(1 << 15, cap=10 ** 9)
+    # a direct product is refused before its table, 2 GiB at order 32768,
+    # or its images are allocated
+    C128, C256 = cs.cyclic(128, cap=10 ** 9), cs.cyclic(256, cap=10 ** 9)
+    tracemalloc.start()
+    try:
+        with pytest.raises(GroupTooLarge, match="exceeds cap 16384"):
+            cs.direct_product([C128, C256], cap=10 ** 9)
+        assert tracemalloc.get_traced_memory()[1] < 1 << 20
+    finally:
+        tracemalloc.stop()
 
 
 # -- closure / subgroup properties (property-based) ---------------------
@@ -582,6 +593,23 @@ def test_table_ids_follow_the_element_list():
     S4 = G_of("S4")
     gens = tuple(sorted(S4.order - g for g in S4.generators))  # reversed ids
     _assert_table_exact(gp.Group(4, S4.elements[:1] + S4.elements[:0:-1], gens))
+
+
+def test_product_of_a_factor_whose_ids_are_not_image_ranks():
+    """The closed-form product takes factor ids as they are: with the
+    reversed-list S4 its ids are not the ranks of its image tuples, but
+    it is still a group whose table is read off its images."""
+    S4 = G_of("S4")
+    R = gp.Group(4, S4.elements[:1] + S4.elements[:0:-1],
+                 tuple(sorted(S4.order - g for g in S4.generators)))
+    for factors in ([R, G_of("S3")], [cs.cyclic(3), R]):
+        G = cs.direct_product(factors)
+        assert G.order == factors[0].order * factors[1].order
+        assert "elements" not in G.__dict__
+        for i in range(G.order):  # row i is elements[i] * elements[j]
+            assert G.ids(G.images[i][G.images]).tolist() == G.table[i].tolist()
+        _assert_table_as_by_index_lookup(G)
+        assert (G.table[np.arange(G.order), G.inverse] == 0).all()
 
 
 def test_ids_find_rows_in_any_order_and_refuse_other_rows():
