@@ -20,7 +20,9 @@ multiplies table rows, and ``orders`` is read off it one prime at a
 time, so a p-element is an x with x^(p-part of |G|) = 1.  numpy is
 imported by the functions that use it, so that importing the package,
 and commands that build no group, do not load it.  Subgroups are
-immutable member-id sets inside a parent group.
+immutable member-id sets inside a parent group.  A subgroup built with
+no generating set computes its ``generator_witness`` on first read, so
+one whose witness is never read costs no ``closure`` calls.
 """
 
 from __future__ import annotations
@@ -230,18 +232,25 @@ class Group:
 class Subgroup:
     """A subgroup of a parent :class:`Group`, stored as a sorted member-id
     tuple.  Equality and hashing are by member set (within one parent),
-    never by the generator witness."""
+    never by the generator witness.  A witness given to the constructor
+    is kept as given; with none, ``generator_witness`` is computed by
+    ``_small_witness`` on first read and kept."""
 
-    __slots__ = ("parent", "members", "member_set", "generator_witness")
+    __slots__ = ("parent", "members", "member_set", "_witness")
 
     def __init__(self, parent: Group, members: Iterable[int],
                  witness: Optional[tuple] = None):
         self.parent = parent
         self.members = tuple(sorted(set(members)))
         self.member_set = frozenset(self.members)
-        if witness is None:
-            witness = _small_witness(parent, self.member_set)
-        self.generator_witness = tuple(witness)
+        self._witness = None if witness is None else tuple(witness)
+
+    @property
+    def generator_witness(self) -> tuple:
+        """A generating tuple of member ids."""
+        if self._witness is None:
+            self._witness = _small_witness(self.parent, self.member_set)
+        return self._witness
 
     @property
     def order(self) -> int:
@@ -508,24 +517,26 @@ def o_p_prime(G: Group, p: int, N: Optional[Subgroup] = None) -> Subgroup:
     subgroup N (default 1): the preimage of O_p'(G/N).  Grown greedily
     from M = N: x joins when <M, x^G> has p'-index over N, which holds
     exactly when xN lies in O_p'(G/N), so each class of cosets x^G N is
-    tried once.  Only the xN of p'-order are tried: those with
-    x^(p'-part of |G|) in N."""
+    tried once.  M and the normal closure of x are both normal, so
+    <M, x^G> is their product set.  Only the xN of p'-order are tried:
+    those with x^(p'-part of |G|) in N."""
     import numpy as np
     M = N if N is not None else G.trivial_subgroup()
     n, Nm = M.order, M.members
-    done = set(Nm)  # a union of cosets of N
     t, every = G.table, np.arange(G.order)
     inside = np.bincount(Nm, minlength=G.order) > 0  # the members of N
+    done = inside.copy()  # a union of cosets of N
     for x in np.flatnonzero(inside[G.powers(_p_prime_part(G.order, p))]).tolist():
-        if x in done:
+        if done[x]:
             continue
-        for y in set(t[t[G.inverse, x], every].tolist()):  # x^G
-            if y not in done:
-                done.update(t[y, Nm].tolist())
-        K = normal_closure(G, set(M.generator_witness) | {x})
-        if (K.order // n) % p:
-            M = K
-            done.update(M.members)
+        xG = np.zeros(G.order, dtype=bool)
+        xG[t[t[G.inverse, x], every]] = True  # x^G
+        done[t[np.ix_(np.flatnonzero(xG & ~done), Nm)]] = True  # x^G N
+        K = np.zeros(G.order, dtype=bool)  # M times the normal closure of x
+        K[t[np.ix_(M.members, normal_closure(G, {x}).members)]] = True
+        if (np.count_nonzero(K) // n) % p:
+            M = Subgroup(G, np.flatnonzero(K).tolist())
+            done |= K
     return M
 
 

@@ -26,9 +26,10 @@ gcd and lcm of every pair; reduced homology from
 the full boundary matrices of every degree, with no coreduction; dense
 matrices as the sparse dict the Smith normal form takes; the
 Cohen-Macaulay link sweep over every simplex; the upper p-series by
-alternating phases; and the structure splits' old engines: the greedy complement grown by
-subgroup closure, and the extraspecial E lifted from a symplectic basis
-of D/Z(D)."""
+alternating phases; O_p' grown by the normal closure of a generator
+witness and one more element; and the structure splits' old engines:
+the greedy complement grown by subgroup closure, and the extraspecial
+E lifted from a symplectic basis of D/Z(D)."""
 
 import bisect
 import itertools
@@ -670,6 +671,31 @@ def p_length_by_phases(G: Group, p: int) -> tuple:
             cur = nxt
         phase_p = not phase_p
     return tuple(series), plen
+
+
+def o_p_prime_by_witness(G: Group, p: int,
+                         N: Optional[Subgroup] = None) -> Subgroup:
+    """O_p' modulo N grown greedily from M = N as the normal closure of
+    M's generator witness and one element x, each class of cosets x^G N
+    tried once: the oracle for `group.o_p_prime`, which grows M by the
+    product set of M and the normal closure of x."""
+    M = N if N is not None else G.trivial_subgroup()
+    n, Nm = M.order, M.members
+    done = set(Nm)  # a union of cosets of N
+    t, every = G.table, np.arange(G.order)
+    inside = np.bincount(Nm, minlength=G.order) > 0  # the members of N
+    for x in np.flatnonzero(
+            inside[G.powers(gp._p_prime_part(G.order, p))]).tolist():
+        if x in done:
+            continue
+        for y in set(t[t[G.inverse, x], every].tolist()):  # x^G
+            if y not in done:
+                done.update(t[y, Nm].tolist())
+        K = gp.normal_closure(G, set(M.generator_witness) | {x})
+        if (K.order // n) % p:
+            M = K
+            done.update(M.members)
+    return M
 
 
 # -- the old Cayley table engine ----------------------------------------

@@ -356,6 +356,30 @@ def test_p_local_data_is_computed_once(argv, monkeypatch, capsys):
     assert sum(key[0] == "sylow_subgroup" for key in calls) == 1, calls
 
 
+S4_X_A4 = {"kind": "direct_product", "params": {"factors": [
+    {"kind": "named", "params": {"name": "S4"}},
+    {"kind": "named", "params": {"name": "A4"}}]}}
+
+
+@pytest.mark.parametrize("command,witnesses", [("plength", 4),
+                                               ("decompose", 7)])
+def test_greedy_witnesses_are_computed_only_when_read(
+        command, witnesses, monkeypatch, tmp_path):
+    """A subgroup built with no witness runs `_small_witness` only when
+    its witness is read, and O_p' reads none: on S4 x A4 at p = 2,
+    `plength` computes 4 witnesses and `decompose` 7, where computing
+    one per subgroup built took 15 and 32."""
+    spec = tmp_path / "s4xa4.json"
+    spec.write_text(json.dumps(S4_X_A4))
+    sizes = []
+    small = gp._small_witness
+    monkeypatch.setattr(gp, "_small_witness",
+                        lambda G, m: sizes.append(len(m)) or small(G, m))
+    assert run_cli([command, str(spec), "--prime", "2"],
+                   tmp_path / "r.txt")[0] == 0
+    assert len(sizes) == witnesses, sorted(sizes)
+
+
 def test_parser_is_built_once_and_keeps_no_state(monkeypatch, capsys):
     """`main` reuses one parser; a flag or an error of one call does not
     leak into the next, whose report equals a fresh parser's."""

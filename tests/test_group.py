@@ -143,6 +143,26 @@ def test_small_witness_regenerates():
         assert G.closure(S.generator_witness) == S.member_set
 
 
+def test_missing_witness_is_computed_on_first_read_and_kept():
+    G = G_of("SD16")
+    for m in oracles.all_subgroups(G):
+        S = gp.Subgroup(G, m)
+        assert S._witness is None
+        w = S.generator_witness
+        assert w == gp._small_witness(G, S.member_set)
+        assert S.generator_witness is w
+
+
+def test_given_witness_is_kept_and_the_witness_is_read_only():
+    G = G_of("S4")
+    every = gp.Subgroup(G, range(G.order), list(range(G.order)))
+    assert every.generator_witness == tuple(range(G.order))
+    assert gp.subgroup_generated(G, [3, 1, 3]).generator_witness == (1, 3)
+    assert G.full().generator_witness == G.generators
+    with pytest.raises(AttributeError):
+        every.generator_witness = ()
+
+
 # -- predicates ---------------------------------------------------------
 
 def test_is_prime_matches_sympy():
@@ -840,6 +860,32 @@ def test_p_series_and_p_length_match_the_phase_loop(name, p):
     assert [S.member_set for S in T.p_series] == \
         [S.member_set for S in series]
     assert T.p_length == ell
+
+
+@pytest.mark.parametrize("name,p", _manifest_pairs(), ids=str)
+def test_built_subgroups_read_the_greedy_witness_only_when_asked(name, p):
+    """The subgroups that O_p, O_p', centralizers, normal closures and
+    derived subgroups build hold no witness until it is read; the one
+    read is `_small_witness`, and it generates the subgroup."""
+    G = G_of(name)
+    P = gp.sylow_subgroup(G, p)
+    built = [gp.o_p(G, p), gp.o_p(G, p, P=P), gp.o_p_prime(G, p),
+             gp.centralizer(G, P), gp.center(P),
+             gp.normal_closure(G, P.generator_witness),
+             gp.derived_subgroup(G), gp.derived_subgroup(P)]
+    for S in built:
+        assert S._witness is None or S.order == 1
+        assert S.generator_witness == gp._small_witness(G, S.member_set)
+        assert G.closure(S.generator_witness) == S.member_set
+
+
+@pytest.mark.parametrize("name,p", _manifest_pairs(), ids=str)
+def test_o_p_prime_matches_the_witness_closure_engine(name, p):
+    """O_p' grown by product sets against the normal closure of a witness
+    and one element, with no N and with N each term of the p-series."""
+    G = G_of(name)
+    for N in (None, *TorusComplex(G, p).p_series):
+        assert gp.o_p_prime(G, p, N) == oracles.o_p_prime_by_witness(G, p, N)
 
 
 @pytest.mark.parametrize("name", LARGE)
