@@ -279,7 +279,7 @@ def direct_product(factors: Sequence[Group],
         gens += [g * after for g in F.generators if g]
         off, before = off + F.degree, before * n
     label = "x".join(F.label or "?" for F in factors)
-    return Group(degree, images, tuple(sorted(gens)), table=table, label=label,
+    return Group(degree, images, tuple(sorted(gens)), table, label=label,
                  provenance="disjoint union of factor actions")
 
 

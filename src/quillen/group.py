@@ -4,25 +4,24 @@ Groups are fully enumerated permutation groups with canonical integer
 element ids (elements sorted lexicographically by image tuple, so the
 identity is always id 0).  A dense multiplication table makes all element
 arithmetic O(1), which keeps the subgroup-theoretic primitives cheap at
-desk scale.  A direct product is given both, the numpy array of its
-images and its table, read off its factors in closed form
-(``constructions.direct_product``).  Every other group gets them from
-breadth-first walks of the Cayley graph by left multiplication: the
-elements are enumerated as a numpy array of images, which the group
-keeps as ``images``, and the table is filled from it, the generators'
-rows by one sorted-key search (``Group.ids``) and every other row, a
-level of the walk at a time, as x = g*w: row g read at row w.  The list
-of image tuples, ``elements``, is built only when it is first read.
-Table ids are int16, 2*order^2 bytes, so no group beyond
-TABLE_ORDER_CAP elements is built, whatever the caller's cap.  Element
-powers and orders are whole-id arrays: ``powers(k)`` squares and
-multiplies table rows, and ``orders`` is read off it one prime at a
-time, so a p-element is an x with x^(p-part of |G|) = 1.  numpy is
-imported by the functions that use it, so that importing the package,
-and commands that build no group, do not load it.  Subgroups are
-immutable member-id sets inside a parent group.  A subgroup built with
-no generating set computes its ``generator_witness`` on first read, so
-one whose witness is never read costs no ``closure`` calls.
+desk scale.  A group keeps the numpy array of its images, ``images``,
+and its table.  A direct product reads both off its factors in closed
+form (``constructions.direct_product``).  Every other group gets both
+from one breadth-first walk of its Cayley graph by left multiplication
+(``group_from_generators``): the walk keeps the place of every product
+g*w it forms, which gives each generator's row, and the parent pair
+(g, w) of each new element x = g*w, from which every other row is
+filled in walk order as row g read at row w.  Table ids are int16,
+2*order^2 bytes, so no group beyond TABLE_ORDER_CAP elements is built,
+whatever the caller's cap.  Element powers and orders are whole-id
+arrays: ``powers(k)`` squares and multiplies table rows, and ``orders``
+is read off it one prime at a time, so a p-element is an x with
+x^(p-part of |G|) = 1.  numpy is imported by the functions that use
+it, so that importing the package, and commands that build no group, do
+not load it.  Subgroups are immutable member-id sets inside a parent
+group.  A subgroup built with no generating set computes its
+``generator_witness`` on first read, so one whose witness is never read
+costs no ``closure`` calls.
 """
 
 from __future__ import annotations
@@ -55,22 +54,19 @@ def validate_permutation(p: Sequence[int], degree: int) -> Perm:
 class Group:
     """A fully enumerated finite permutation group.
 
-    Immutable after construction; safe to share.  ``elements`` (image
-    tuples, or an array of image rows) may come in any order, and ids
-    are their positions: `images[i]` is the permutation with id ``i``;
-    `table[i, j]` is the id of ``elements[i] * elements[j]``.  The
-    ``generator_ids`` must generate the group: the table is filled along
-    the walk they span, unless it is given as ``table`` (int16, with
-    ids the positions of ``elements``).
+    Immutable after construction; safe to share.  Ids are row positions:
+    `images[i]` is the image row of the permutation with id ``i``, whose
+    rows may come in any order with the identity first, and `table[i, j]`
+    (int16) is the id of the product of ids ``i`` and ``j``.  The
+    ``generator_ids`` generate the group.
     """
 
-    def __init__(self, degree: int, elements, generator_ids: tuple,
-                 provenance: str = "given generators", label: str = "",
-                 table=None):
+    def __init__(self, degree: int, images, generator_ids: tuple, table,
+                 provenance: str = "given generators", label: str = ""):
         import numpy as np
         self.degree = degree
-        self.images = np.asarray(elements, dtype=_image_dtype(degree)).reshape(
-            len(elements), degree)
+        self.images = np.asarray(images, dtype=_image_dtype(degree)).reshape(
+            len(images), degree)
         self.generators = generator_ids
         self.provenance = provenance
         self.label = label
@@ -78,73 +74,12 @@ class Group:
         self.identity = 0
         assert (self.images[0] == np.arange(degree)).all(), \
             "identity must sort first"
-        if table is None:
-            table = self._build_table()
         assert table.shape == (self.order, self.order) \
             and table.dtype == np.int16, "the table must be int16, order^2"
         self.table = table
         self.inverse = self._build_inverses()
 
-    @cached_property
-    def elements(self) -> list:
-        """`elements[i]` is the image tuple of id i, built from ``images``
-        when first read.  The tuples share one int object per point, so
-        that a large degree costs a pointer per image."""
-        import numpy as np
-        points = np.array(range(self.degree), dtype=object)
-        return list(map(tuple, points[self.images].tolist()))
-
-    def ids(self, rows) -> np.ndarray:
-        """The ids of the image rows ``rows`` (m x degree), by a binary
-        search of each row's key among the sorted keys of the elements.
-        A row that is not an element raises KeyError."""
-        import numpy as np
-        keys, by_key = self._sorted_keys
-        q = _keys(np.asarray(rows, dtype=self.images.dtype)
-                  .reshape(-1, self.degree))
-        # a key past the last wraps to position 0, and fails the test below
-        at = by_key[np.searchsorted(keys, q, sorter=by_key) % self.order]
-        if (keys[at] != q).any():
-            raise KeyError("a row is not an element of the group")
-        return at
-
-    @cached_property
-    def _sorted_keys(self) -> tuple:
-        """Each element's image row as one fixed-width key, with the
-        argsort of the keys."""
-        import numpy as np
-        keys = _keys(self.images)
-        return keys, np.argsort(keys)
-
     # -- construction ---------------------------------------------------
-
-    def _build_table(self) -> np.ndarray:
-        """Row i holds the ids of elements[i] * elements[j].  The
-        generators' rows are found by one ``ids`` search each; the other
-        rows are filled breadth first from the identity, a whole level of
-        the Cayley graph at a time: x = g*w has row(x) = row(g)[row(w)]."""
-        import numpy as np
-        n, gens, E = self.order, self.generators, self.images
-        table = np.empty((n, n), dtype=np.int16)
-        table[0] = np.arange(n)
-        for g in gens:
-            table[g] = self.ids(E[g][E])
-        done = np.zeros(n, dtype=bool)  # the rows filled so far
-        done[[0, *gens]] = True
-        level = np.flatnonzero(done)
-        while level.size:
-            new = [level[:0]]  # one array to concatenate with no generators
-            for g in gens:
-                kids = table[g, level]  # distinct: x -> g*x is injective
-                fresh = ~done[kids]
-                x, tg = kids[fresh], table[g]
-                done[x] = True
-                for xi, w in zip(x.tolist(), level[fresh].tolist()):
-                    tg.take(table[w], out=table[xi])
-                new.append(x)
-            level = np.concatenate(new)
-        assert done.all(), "the generators must generate the group"
-        return table
 
     def _build_inverses(self) -> np.ndarray:
         # each row is a permutation of the ids and the identity is id 0,
@@ -308,7 +243,11 @@ def group_from_generators(degree: int, gens: Sequence[Sequence[int]], *,
     """Enumerate the group generated by permutations of {0..degree-1},
     breadth first by left multiplication: the children of a frontier F
     under a generator g are the rows of g[F], kept when their bytes are
-    new.  Ids are the ranks of the image tuples, by one lexsort."""
+    new.  The walk keeps the place of every child, so that g's row is
+    read off in walk order, and the parent pair (g, w) of each new
+    element x = g*w.  Ids are the ranks of the image tuples, by one
+    lexsort; the rows of the other elements are then filled in walk
+    order as row(x) = row(g)[row(w)], row(w) being filled already."""
     import numpy as np
     perms = [validate_permutation(g, degree) for g in gens]
     cap = min(cap, TABLE_ORDER_CAP)
@@ -317,24 +256,40 @@ def group_from_generators(degree: int, gens: Sequence[Sequence[int]], *,
     gmat = np.array(perms, dtype=dtype).reshape(len(perms), degree)
     frontier = [np.arange(degree, dtype=dtype).tobytes()]
     walk = {frontier[0]: 0}  # each element's bytes -> its place in the walk
+    rows = [[] for _ in perms]  # rows[j][w]: the place of g_j * (place w)
+    parents = [(0, 0)]  # parents[x] = (j, w): place x holds g_j * (place w)
     while frontier:
         F = np.frombuffer(b"".join(frontier), dtype=dtype)
         F = F.reshape(len(frontier), degree)
-        frontier = []
-        for g in gmat:
-            kids = g[F].tobytes()
+        frontier, start = [], len(walk) - len(F)  # F holds places start..
+        for j, g in enumerate(gmat):
+            kids, row = g[F].tobytes(), rows[j]
             for k in range(len(F)):
                 x = kids[k * width:(k + 1) * width]
-                if x not in walk:
-                    walk[x] = len(walk)
+                at = walk.get(x)
+                if at is None:
+                    at = walk[x] = len(walk)
                     frontier.append(x)
+                    parents.append((j, start + k))
+                row.append(at)
             if len(walk) > cap:
                 raise GroupTooLarge(f"group order exceeds cap {cap}")
-    E = np.frombuffer(b"".join(walk), dtype=dtype).reshape(len(walk), degree)
+    n = len(walk)
+    E = np.frombuffer(b"".join(walk), dtype=dtype).reshape(n, degree)
     order = np.lexsort(E.T[::-1]) if degree else [0]  # id -> place in the walk
-    at = [walk[g.tobytes()] for g in gmat]
-    gen_ids = tuple(int(i) for i in np.flatnonzero(np.isin(order, at)) if i)
-    return Group(degree, E[order], gen_ids, provenance=provenance,
+    rank = np.empty(n, dtype=np.int16)
+    rank[order] = np.arange(n)  # place in the walk -> id
+    table = np.empty((n, n), dtype=np.int16)
+    table[0] = np.arange(n)
+    for row in rows:  # row[0] is the place of the generator itself
+        table[rank[row[0]], rank] = rank[row]
+    ids = rank.tolist()
+    gen_rows = [table[ids[row[0]]] for row in rows]
+    for x, (j, w) in enumerate(parents):
+        if w:  # w = 0 makes x the identity or a generator, whose row is set
+            gen_rows[j].take(table[ids[w]], out=table[ids[x]])
+    gen_ids = tuple(sorted({ids[row[0]] for row in rows} - {0}))
+    return Group(degree, E[order], gen_ids, table, provenance=provenance,
                  label=label)
 
 
@@ -342,13 +297,6 @@ def _image_dtype(degree: int) -> np.dtype:
     """The narrowest unsigned dtype that holds the points 0..degree-1."""
     import numpy as np
     return np.min_scalar_type(max(degree - 1, 0))
-
-
-def _keys(rows: np.ndarray) -> np.ndarray:
-    """Each row of a 2D array as one fixed-width ``np.void`` key."""
-    import numpy as np
-    rows = np.ascontiguousarray(rows)
-    return rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
 
 
 # -- spec operations ----------------------------------------------------

@@ -78,7 +78,7 @@ from math import gcd
 from typing import Optional, Sequence
 
 from . import group as gp
-from .errors import NotSolvable
+from .errors import DecompositionNotFound, NotSolvable
 from .group import Group, Subgroup, _p_rank
 from .poset import (
     SimplicialComplex,
@@ -494,12 +494,18 @@ class TorusComplex:
     @cached_property
     def p_series(self) -> tuple:
         """The upper p-series 1 < O_p' < O_p',p < ... < G of a solvable
-        G: the terms over 1 are O_p' or O_p modulo the one before."""
+        G: the terms over 1 are O_p' or O_p modulo the one before.
+        DecompositionNotFound if the steps stall short of G, which they
+        never do on a solvable G."""
         G, p = self.group, self.prime
         if not self.solvable:
             raise NotSolvable(f"group of order {G.order} is not solvable")
         series, phase_p = [G.trivial_subgroup()], False  # a p'-step first
-        while series[-1].order < G.order:
+        # a step that grows at least doubles the order, and for solvable G
+        # no two steps in a row both stall: 2 log2|G| steps reach G
+        for _ in range(2 * G.order.bit_length() + 2):
+            if series[-1].order == G.order:
+                return tuple(series)
             if len(series) == 1:
                 nxt = self.o_p if phase_p else self.o_p_prime
             elif phase_p:
@@ -509,7 +515,9 @@ class TorusComplex:
             if nxt.order > series[-1].order:
                 series.append(nxt)
             phase_p = not phase_p
-        return tuple(series)
+        raise DecompositionNotFound(
+            f"the upper {p}-series of a solvable group of order {G.order}"
+            " stalls short of the group")
 
     @cached_property
     def p_length(self) -> int:

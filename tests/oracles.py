@@ -12,7 +12,10 @@ complexes, the oracle for `join_homology` and `wedge_homology`;
 normalizers, the list of Sylow subgroups and the rank read off every
 torus; the subgroup enumerators' old engine, which asks a member
 predicate (g centralizes H, or g extends the p-subgroup H) once per
-subgroup and candidate, with the Sylow scan built on it; and the group
+subgroup and candidate, with the Sylow scan built on it; the element
+tuples of a group, the Cayley table filled a level of the walk at a
+time, and the ids of image rows by a sorted-key search, the engine that
+the one walk of `group_from_generators` replaced; and the group
 builders that the permutation-generator path replaced: direct products
 by a walk of their Cayley graph, the closed form's oracle; groups from a
 full multiplication table (the quaternion, Heisenberg and semidirect
@@ -706,8 +709,8 @@ def table_by_index_lookup(G: Group) -> tuple:
     x = g*w as row g read at row w, in the order a queue of the walk from
     the identity reaches them."""
     n, gens = G.order, G.generators
-    index = {p: i for i, p in enumerate(G.elements)}
-    E = np.array(G.elements, dtype=np.int64).reshape(n, G.degree)
+    index = {p: i for i, p in enumerate(elements(G))}
+    E = G.images.astype(np.int64)
     table = np.empty((n, n), dtype=np.int16)
     table[0] = np.arange(n)
     for g in gens:
@@ -723,6 +726,65 @@ def table_by_index_lookup(G: Group) -> tuple:
                 np.take(table[g], table[w], out=table[x])
     assert len(seen) == n, "the generators must generate the group"
     return table, table.argmin(axis=1).astype(table.dtype)
+
+
+def elements(G: Group) -> list:
+    """`elements(G)[i]` is the image tuple of id i."""
+    return list(map(tuple, G.images.tolist()))
+
+
+def ids_of(images, rows) -> np.ndarray:
+    """The positions in ``images`` (order x degree) of the image rows
+    ``rows`` (m x degree), by a binary search of each row's key among the
+    sorted keys of the images.  A row that is not among them raises
+    KeyError."""
+    images = np.ascontiguousarray(images)
+    keys = _keys(images)
+    by_key = np.argsort(keys)
+    rows = np.asarray(rows, dtype=images.dtype)
+    q = _keys(rows.reshape(-1, images.shape[1]))
+    # a key past the last wraps to position 0, and fails the test below
+    at = by_key[np.searchsorted(keys, q, sorter=by_key) % len(keys)]
+    if (keys[at] != q).any():
+        raise KeyError("a row is not an element of the group")
+    return at
+
+
+def _keys(rows: np.ndarray) -> np.ndarray:
+    """Each row of a 2D array as one fixed-width ``np.void`` key."""
+    rows = np.ascontiguousarray(rows)
+    key = np.dtype((np.void, rows.itemsize * rows.shape[1]))
+    return rows.view(key).ravel()
+
+
+def table_by_levels(images, generators) -> np.ndarray:
+    """The Cayley table of the group whose ids are the positions of
+    ``images``, the identity first, generated by the ids ``generators``:
+    the generators' rows by one ``ids_of`` search each, the other rows
+    breadth first from the identity, a whole level of the Cayley graph
+    at a time: x = g*w has row(x) = row(g)[row(w)]."""
+    E = np.asarray(images)
+    n = len(E)
+    table = np.empty((n, n), dtype=np.int16)
+    table[0] = np.arange(n)
+    for g in generators:
+        table[g] = ids_of(E, E[g][E])
+    done = np.zeros(n, dtype=bool)  # the rows filled so far
+    done[[0, *generators]] = True
+    level = np.flatnonzero(done)
+    while level.size:
+        new = [level[:0]]  # one array to concatenate with no generators
+        for g in generators:
+            kids = table[g, level]  # distinct: x -> g*x is injective
+            fresh = ~done[kids]
+            x, tg = kids[fresh], table[g]
+            done[x] = True
+            for xi, w in zip(x.tolist(), level[fresh].tolist()):
+                tg.take(table[w], out=table[xi])
+            new.append(x)
+        level = np.concatenate(new)
+    assert done.all(), "the generators must generate the group"
+    return table
 
 
 def direct_product_by_walk(factors: Sequence[Group],
@@ -767,11 +829,13 @@ def group_from_table(table: Sequence[Sequence[int]], *,
     perms = {tuple(row) for row in table}
     if len(perms) != n:
         raise InvalidPermutation("multiplication table rows not distinct")
-    elements = sorted(perms)
-    index = {p: i for i, p in enumerate(elements)}
+    elems = sorted(perms)
+    images = np.array(elems)
+    index = {p: i for i, p in enumerate(elems)}
     spanning = gen_indices if gen_indices is not None else _spanning(table)
     gen_ids = tuple(sorted({index[tuple(table[i])] for i in spanning}))
-    G = Group(n, elements, gen_ids, provenance=provenance, label=label)
+    G = Group(n, images, gen_ids, table_by_levels(images, gen_ids),
+              provenance=provenance, label=label)
     if gen_indices is None:  # shrink the witness generators
         G.generators = gp._small_witness(G, frozenset(range(n)))
     return G
@@ -899,7 +963,7 @@ def quotient_by_table(S, N: Subgroup) -> Quotient:
     qtable = [[rep_index[cmin[G.mul(a, b)]] for b in reps] for a in reps]
     Q = group_from_table(qtable, cap=max(DEFAULT_ELEMENT_CAP, len(reps)),
                          provenance="coset action (regular)")
-    qid = Q.ids(qtable).tolist()  # qid[i] is the id of coset reps[i]
+    qid = ids_of(Q.images, qtable).tolist()  # qid[i]: the id of coset reps[i]
     hom = {s: qid[rep_index[cmin[s]]] for s in S.members}
     return Quotient(G, Q, hom)
 

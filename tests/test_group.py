@@ -13,6 +13,7 @@ from quillen import cli
 from quillen import constructions as cs
 from quillen import group as gp
 from quillen.errors import (
+    DecompositionNotFound,
     GroupTooLarge,
     HypothesisViolated,
     InvalidPermutation,
@@ -255,8 +256,9 @@ def test_normal_closure_and_is_normal():
     # a transposition of S4 is normal-closed to S4, but inside a Sylow D8
     # only to the (non-normal in S4) Klein four-group it spans with its
     # conjugate; a double transposition would give the normal V4 in both
+    E = oracles.elements(G)
     t = next(x for x in P.members
-             if sum(i != j for i, j in enumerate(G.elements[x])) == 2)
+             if sum(i != j for i, j in enumerate(E[x])) == 2)
     inP = gp.normal_closure(P, [t])
     assert inP.order == 4 and inP <= P
     assert gp.is_normal(inP, P) and not gp.is_normal(inP)
@@ -336,7 +338,7 @@ def test_quotient_group_s4_by_v4():
     assert not gp.is_abelian(Q)  # S3
     # the table path's projection lands on the same element ids
     q = oracles.quotient_by_table(G, V)
-    assert Q.elements == q.group.elements
+    assert oracles.elements(Q) == oracles.elements(q.group)
     for a in range(0, G.order, 5):
         for b in range(0, G.order, 7):
             assert q.hom[G.mul(a, b)] == Q.mul(q.hom[a], q.hom[b])
@@ -370,6 +372,15 @@ def test_p_length():
     A5 = gp.group_from_generators(5, [[1, 2, 3, 4, 0], [1, 0, 3, 2, 4]])
     with pytest.raises(NotSolvable):
         TorusComplex(A5, 2).p_series
+
+
+def test_p_series_that_stalls_raises(monkeypatch):
+    """An O_p' step that never grows stalls the series of S3 at p = 2
+    short of S3: it raises instead of looping."""
+    monkeypatch.setattr(gp, "o_p_prime", lambda G, p, N=None:
+                        G.trivial_subgroup() if N is None else N)
+    with pytest.raises(DecompositionNotFound):
+        TorusComplex(G_of("S3"), 2).p_series
 
 
 # -- enumeration --------------------------------------------------------
@@ -540,7 +551,7 @@ def test_centralizer_normality_and_commutativity_by_definition(name):
 def _table_by_lookup(G):
     """The table from one dictionary lookup per product."""
     n = G.order
-    E = np.array(G.elements, dtype=np.int64)
+    E = np.array(oracles.elements(G), dtype=np.int64)
     lookup = {E[i].tobytes(): i for i in range(n)}
     table = np.empty((n, n), dtype=np.int32)
     for i in range(n):
@@ -598,8 +609,10 @@ def test_table_matches_lookup_on_long_bases_and_high_degree():
     _assert_table_exact(G)
     _assert_table_as_by_index_lookup(G)
     # C3 on points 0..2 times S4 x A4 on points 256..263 of 264
-    gens = ([_moved_to(S4.elements[g], 256, 264) for g in S4.generators]
-            + [_moved_to(A4.elements[g], 260, 264) for g in A4.generators]
+    gens = ([_moved_to(oracles.elements(S4)[g], 256, 264)
+             for g in S4.generators]
+            + [_moved_to(oracles.elements(A4)[g], 260, 264)
+               for g in A4.generators]
             + [_moved_to((1, 2, 0), 0, 264)])
     H = gp.group_from_generators(264, gens)
     assert H.order == 3 * 288
@@ -608,26 +621,64 @@ def test_table_matches_lookup_on_long_bases_and_high_degree():
     assert gp.group_from_generators(1, []).table.tolist() == [[0]]
 
 
-def test_table_ids_follow_the_element_list():
-    # builders list elements in image order, but ids are list positions
+def _reversed_s4():
+    """S4 with its images listed identity first, then in reverse, so that
+    its ids are not the ranks of its image tuples."""
     S4 = G_of("S4")
-    gens = tuple(sorted(S4.order - g for g in S4.generators))  # reversed ids
-    _assert_table_exact(gp.Group(4, S4.elements[:1] + S4.elements[:0:-1], gens))
+    images = np.concatenate([S4.images[:1], S4.images[:0:-1]])
+    gens = tuple(sorted(S4.order - g for g in S4.generators))
+    return gp.Group(4, images, gens, oracles.table_by_levels(images, gens))
+
+
+def _regular_c1024_c2():
+    return cs.build(cs.GroupSpec.from_json({
+        "kind": "semidirect_product", "params": {
+            "n": {"kind": "cyclic", "params": {"order": 1024}},
+            "h": {"kind": "cyclic", "params": {"order": 2}},
+            "action": {"gen_images": [[1023]]}}}))
+
+
+def _swaps_of_degree_300():
+    """Two transpositions on points of two bytes each: (0 255), (0 256)."""
+    return gp.group_from_generators(
+        300, [[{0: j, j: 0}.get(x, x) for x in range(300)] for j in (255, 256)])
+
+
+ONE_WALK_INPUTS = {
+    **{name: (lambda name=name: G_of(name)) for name in cs.catalog_names()},
+    "C1024:C2": _regular_c1024_c2,
+    "degree 300": _swaps_of_degree_300,
+    "duplicate generators": lambda: gp.group_from_generators(
+        4, [[1, 2, 3, 0], [1, 0, 2, 3], [1, 2, 3, 0], [1, 0, 2, 3]]),
+    "identity among generators": lambda: gp.group_from_generators(
+        5, [[0, 1, 2, 3, 4], [1, 2, 0, 3, 4], [0, 1, 2, 3, 4], [0, 1, 2, 4, 3]]),
+    "perm, degree 1, no generators": lambda: cs.build(
+        cs.GroupSpec("perm", {"degree": 1, "generators": []})),
+    "perm, degree 3, no generators": lambda: cs.build(
+        cs.GroupSpec("perm", {"degree": 3, "generators": []})),
+}
+
+
+@pytest.mark.parametrize("name", list(ONE_WALK_INPUTS))
+def test_table_of_the_walk_matches_the_table_by_levels(name):
+    """The table of one Cayley-graph walk against the level-by-level
+    table it replaced, filled from the same images and generators."""
+    G = ONE_WALK_INPUTS[name]()
+    assert np.array_equal(G.table, oracles.table_by_levels(G.images,
+                                                           G.generators))
 
 
 def test_product_of_a_factor_whose_ids_are_not_image_ranks():
     """The closed-form product takes factor ids as they are: with the
     reversed-list S4 its ids are not the ranks of its image tuples, but
     it is still a group whose table is read off its images."""
-    S4 = G_of("S4")
-    R = gp.Group(4, S4.elements[:1] + S4.elements[:0:-1],
-                 tuple(sorted(S4.order - g for g in S4.generators)))
+    R = _reversed_s4()
     for factors in ([R, G_of("S3")], [cs.cyclic(3), R]):
         G = cs.direct_product(factors)
         assert G.order == factors[0].order * factors[1].order
-        assert "elements" not in G.__dict__
-        for i in range(G.order):  # row i is elements[i] * elements[j]
-            assert G.ids(G.images[i][G.images]).tolist() == G.table[i].tolist()
+        for i in range(G.order):  # row i is images[i] * images[j]
+            assert oracles.ids_of(G.images, G.images[i][G.images]).tolist() \
+                == G.table[i].tolist()
         _assert_table_as_by_index_lookup(G)
         assert (G.table[np.arange(G.order), G.inverse] == 0).all()
 
@@ -635,32 +686,25 @@ def test_product_of_a_factor_whose_ids_are_not_image_ranks():
 def test_ids_find_rows_in_any_order_and_refuse_other_rows():
     S4, A4 = G_of("S4"), G_of("A4")
     back = np.arange(S4.order)[:0:-1]  # every id but the identity's, reversed
-    R = gp.Group(4, S4.elements[:1] + S4.elements[:0:-1],
-                 tuple(sorted(S4.order - g for g in S4.generators)))
-    assert R.ids(S4.images[back]).tolist() == (S4.order - back).tolist()
+    R = _reversed_s4()
+    assert oracles.ids_of(R.images, S4.images[back]).tolist() == \
+        (S4.order - back).tolist()
     shuffle = np.random.default_rng(0).permutation(S4.order)
-    assert S4.ids(S4.images[shuffle]).tolist() == shuffle.tolist()
-    assert A4.ids([list(A4.elements[5])]).tolist() == [5]
+    assert oracles.ids_of(S4.images, S4.images[shuffle]).tolist() == \
+        shuffle.tolist()
+    assert oracles.ids_of(A4.images, A4.images[5:6]).tolist() == [5]
     # at degree > 256 a point is two bytes, little-endian: the key of
     # image 256 sorts before the key of image 255
-    swaps = [[{0: j, j: 0}.get(x, x) for x in range(300)] for j in (255, 256)]
-    H = gp.group_from_generators(300, swaps)
+    H = _swaps_of_degree_300()
     assert [int(H.images[i, 0]) for i in range(6)] == [0, 0, 255, 255, 256, 256]
-    assert H.ids(H.images[::-1]).tolist() == [5, 4, 3, 2, 1, 0]
-    with pytest.raises(KeyError):
-        A4.ids([[0, 1, 2, 3], [1, 0, 2, 3]])  # a transposition is odd
-
-
-def test_group_of_a_list_that_is_not_closed_is_refused():
-    S4 = G_of("S4")
-    assert max(S4.generators) < S4.order - 1
-    with pytest.raises(KeyError):
-        gp.Group(4, S4.elements[:-1], S4.generators)
+    assert oracles.ids_of(H.images, H.images[::-1]).tolist() == \
+        [5, 4, 3, 2, 1, 0]
+    with pytest.raises(KeyError):  # a transposition is odd
+        oracles.ids_of(A4.images, [[0, 1, 2, 3], [1, 0, 2, 3]])
 
 
 def test_products_build_no_element_tuples():
-    """``elements`` is built from the images when first read, and no
-    product builder reads it."""
+    """A group keeps its images and no list of element tuples."""
     for order, spec in [
             (432, {"kind": "direct_product", "params": {"factors": [
                 {"kind": "named", "params": {"name": "C3C3:SL(2,3)"}},
@@ -670,15 +714,14 @@ def test_products_build_no_element_tuples():
                 "h": {"kind": "cyclic", "params": {"order": 2}},
                 "action": {"gen_images": [[1023]]}}})]:
         G = cs.build(cs.GroupSpec.from_json(spec))
-        assert G.order == order and "elements" not in G.__dict__
-        assert G.elements[1] == tuple(G.images[1].tolist())
+        assert G.order == order and not hasattr(G, "elements")
 
 
 def test_images_keep_a_dtype_that_fits_the_degree():
     # ids are int16, but a perm spec's degree is not capped
     swap = list(range(1, 39999)) + [40000, 39999]
     G = cs.build(cs.GroupSpec("perm", {"degree": 40000, "generators": [swap]}))
-    assert G.order == 2 and G.elements[1][-2:] == (39999, 39998)
+    assert G.order == 2 and oracles.elements(G)[1][-2:] == (39999, 39998)
     assert G.table.tolist() == [[0, 1], [1, 0]]
     _assert_table_as_by_index_lookup(G)
 
@@ -689,7 +732,7 @@ def test_table_matches_lookup_at_scale():
     the elements of G apart, which suffices since it lies in G."""
     G = G_of("C3^4:(SD16oD8)")
     assert G.table.dtype == np.int16 and G.table.nbytes == 2 * G.order ** 2
-    E = np.array(G.elements, dtype=np.int64)
+    E = np.array(oracles.elements(G), dtype=np.int64)
     n, d = E.shape
     points, code = [], np.zeros(n, dtype=np.int64)
     for b in range(d):
@@ -708,7 +751,8 @@ def test_table_matches_lookup_on_regular_representations(name):
     G = G_of(name)
     R = gp.group_from_generators(G.order, G.table[list(G.generators)].tolist())
     assert R.degree == R.order == G.order
-    assert R.elements == oracles.group_from_table(G.table.tolist()).elements
+    assert oracles.elements(R) == \
+        oracles.elements(oracles.group_from_table(G.table.tolist()))
     _assert_table_exact(R)
     _assert_table_as_by_index_lookup(R)
 
@@ -739,7 +783,8 @@ def test_table_matches_lookup_on_p_length_quotients(name):
         for S, N in [(G, N) for N in TorusComplex(G, p).p_series[1:-1]] \
                 + ([section] if section else []):
             Q = gp.quotient_group(S, N)
-            assert Q.elements == oracles.quotient_by_table(S, N).group.elements
+            assert oracles.elements(Q) == \
+                oracles.elements(oracles.quotient_by_table(S, N).group)
             _assert_table_exact(Q)
 
 
