@@ -15,7 +15,6 @@ from .poset import (
     ab_poset,
     brown_poset,
     find_conjunctive_element,
-    link,
     order_complex,
     quillen_poset,
     upper_interval,
@@ -67,7 +66,6 @@ __all__ = [
     "find_conjunctive_element",
     "group_from_generators",
     "group_stats",
-    "link",
     "main_theorem_check",
     "order_complex",
     "p_length_bound_check",

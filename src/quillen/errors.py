@@ -45,8 +45,8 @@ class NodeNotInPoset(QuillenError):
     pass
 
 
-class SimplexNotInComplex(QuillenError):
-    pass
+class ComplexTooLarge(QuillenError):
+    """Closing simplices under faces could exceed the face bound."""
 
 
 class HypothesisViolated(QuillenError):

@@ -64,8 +64,8 @@ and Applications, LNM 2032, 2011, ch. 1).  A core of one point is
 contractible and builds no complex; otherwise the core's order complex
 is reduced.  The dimension of a profile is the height of the whole
 poset, so that profiles read as those of the whole complex.  The full
-Delta(A) is built only for export and for the link witnessing a failed
-Cohen-Macaulay check.
+Delta(A) is built only for export; the link witnessing a failed
+Cohen-Macaulay check is read off the join formula.
 """
 
 from __future__ import annotations
@@ -74,7 +74,7 @@ from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
-from math import gcd
+from math import comb, gcd
 from typing import Optional, Sequence
 
 from . import group as gp
@@ -85,7 +85,6 @@ from .poset import (
     SubgroupPoset,
     bits,
     conjugacy_classes,
-    link,
     order_complex,
     quillen_poset,
 )
@@ -238,18 +237,13 @@ def _invariant_factors(diag: Sequence[int]) -> tuple:
 # -- coreduction and reduced homology -----------------------------------
 
 def _cells(C: SimplicialComplex) -> list:
-    """The faces of every simplex of C by id: ids number the simplices
-    by dimension, then by sorted vertex tuple, the empty simplex first,
-    and faces[c] lists the ids of c's codimension-1 faces, the one
-    leaving out the i-th vertex at position i."""
-    by_size = {}
-    for s in C.simplices:
-        by_size.setdefault(len(s), []).append(tuple(sorted(s)))
-    simplices = [t for n in sorted(by_size) for t in sorted(by_size[n])]
-    index = {t: c for c, t in enumerate(simplices)}.__getitem__
+    """The faces of every simplex of C by id: ids number C.simplices in
+    their cell order, and faces[c] lists the ids of c's codimension-1
+    faces, the one leaving out the i-th vertex at position i."""
+    index = {t: c for c, t in enumerate(C.simplices)}.__getitem__
     # combinations() leaves out the last vertex first
     return [()] + [tuple(map(index, combinations(t, len(t) - 1)))[::-1]
-                   for t in simplices[1:]]
+                   for t in C.simplices[1:]]
 
 
 def _coreduce(faces: list) -> bytearray:
@@ -460,7 +454,7 @@ class TorusComplex:
     A = A_p(G) of the nontrivial elementary abelian p-subgroups of G,
     the dimension of the order complex Delta(A), its reduced homology
     and its Cohen-Macaulay verdict.  Each is computed once, when first
-    read; Delta(A) itself only for export and for a failure's witness.
+    read; Delta(A) itself only for export.
     The object is freed with the command or suite row that built it."""
 
     def __init__(self, G: Group, p: int):
@@ -548,32 +542,30 @@ class TorusComplex:
         upper interval per conjugacy class of tori (see the module
         docstring).  The verdict, witness included, is the link sweep's:
         that sweep fails first at the least vertex of a failing class,
-        since a chain whose link fails has a top vertex whose link fails,
-        so only that one link is built, for the witness."""
-        A, d, profile = self.poset, self.dim, self.profile
+        since a chain whose link fails has a top vertex whose link fails.
+        The link of a torus x of rank r is Delta(A<x) * Delta(A>x), so
+        the witness reads its homology off the join formula."""
+        A, d, p, profile = self.poset, self.dim, self.prime, self.profile
         top = sphericity(profile, d)
         if not top.homology_spherical:
             return SphericityVerdict(top.weakly_spherical_in, False, False,
                                      f"complex itself: {top.witness}",
                                      profile)
-
-        def fails(x):  # Delta(A>x) is not (d - rank of x)-spherical
+        for x, *_ in conjugacy_classes(A):
             above = poset_homology(A.induced(bits(A.above[x])))
-            r = _p_rank(A.nodes[x].order, self.prime)
-            return not sphericity(above, d - r).homology_spherical
+            r = _p_rank(A.nodes[x].order, p)
+            if not sphericity(above, d - r).homology_spherical:
+                link = join_homology(_solomon_tits(r, p), above)
+                v = sphericity(link, d - 1)
+                witness = (f"link of [{x}] (dim 0): not {d - 1}-spherical "
+                           f"({v.witness}); {link.describe()}")
+                return SphericityVerdict(d, True, False, witness, profile)
+        return SphericityVerdict(d, True, True, None, profile)
 
-        witness = next((_link_failure(self.complex, {x})
-                        for x, *_ in conjugacy_classes(A) if fails(x)), None)
-        return SphericityVerdict(d, True, witness is None, witness, profile)
 
-
-def _link_failure(C: SimplicialComplex, s) -> Optional[str]:
-    """The witness string if the link of simplex s in C is not
-    (dim C - dim s - 1)-spherical, else None."""
-    k = len(s) - 1
-    r = C.dim - k - 1
-    v = sphericity(reduced_homology(link(C, s)), r)
-    if v.homology_spherical:
-        return None
-    return (f"link of {sorted(s)} (dim {k}): not {r}-spherical "
-            f"({v.witness}); {v.profile.describe()}")
+def _solomon_tits(r: int, p: int) -> HomologyProfile:
+    """Reduced homology of the poset of proper nonzero subspaces of
+    F_p^r: Z^(p^(r choose 2)) in degree r - 2 (Solomon-Tits); at r = 1
+    the vertex-free complex."""
+    return HomologyProfile(r - 2, (0,) * (r - 1) + (p ** comb(r, 2),),
+                           ((),) * r)

@@ -1,10 +1,10 @@
 """Subgroup posets (Quillen, Brown, abelian-subgroup, upper intervals)
-and the conjugacy classes of their nodes, their order complexes, and
-the links of their simplices.
+and the conjugacy classes of their nodes, and simplicial complexes:
+their order complexes, and complexes read from a facet list.
 
 A SimplicialComplex always contains the empty simplex; the vertex-free
 complex {()} has dimension -1 and reduced homology Z in degree -1, which
-makes the degree arithmetic of links and of the join formula uniform.
+makes the degree arithmetic of the join formula uniform.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 from typing import Iterable, Optional
 
-from .errors import NodeNotInPoset, SimplexNotInComplex
+from .errors import ComplexTooLarge, InvalidSpec, NodeNotInPoset
 from . import group as gp
 from .group import Group, Subgroup
 
@@ -209,48 +209,34 @@ def find_conjunctive_element(P: SubgroupPoset) -> Optional[Subgroup]:
 
 # -- simplicial complexes -----------------------------------------------
 
+# Closing simplices under faces is refused when a bound on the faces it
+# makes passes this.  Only a face of an open simplex, one with a
+# codimension-1 face that is not given, can be new, so the bound counts
+# each given simplex once and each open one 2^(vertex count) times: one
+# n-vertex simplex alone closes to 2^n faces, and a closed file weighs
+# its face count.  B(GL4(F3)) * RP2 (20800 facets of 6 vertices) weighs
+# 1331201.
+FACE_BOUND = 1 << 21
+
+
 class SimplicialComplex:
     """Abstract simplicial complex on integer vertex ids, closed under
-    faces and always containing the empty simplex."""
+    faces and always containing the empty simplex.  ``simplices`` holds
+    each simplex once, as its sorted vertex tuple, in cell order: by
+    size, then lexicographic, the empty simplex first.  Repeated
+    vertices in an input simplex collapse."""
 
-    def __init__(self, simplices: Iterable[frozenset], close: bool = False):
-        simps = set(map(frozenset, _closure(simplices) if close
-                        else simplices))
-        simps.add(frozenset())
-        self.simplices = frozenset(simps)
-        self.vertices = sorted(set().union(*simps)) if simps else []
-        self.dim = max((len(s) for s in simps), default=0) - 1
-        self._by_dim = None  # dim -> sorted tuple, built on first query
-
-    def n_simplices(self, k: int) -> int:
-        return len(self.simplices_of_dim(k))
-
-    def simplices_of_dim(self, k: int) -> tuple:
-        if self._by_dim is None:
-            buckets = {}
-            for s in self.simplices:
-                buckets.setdefault(len(s) - 1, []).append(s)
-            self._by_dim = {
-                d: tuple(sorted(b, key=lambda s: tuple(sorted(s))))
-                for d, b in buckets.items()}
-        return self._by_dim.get(k, ())
-
-    def __contains__(self, sigma) -> bool:
-        return frozenset(sigma) in self.simplices
-
-    def __eq__(self, other):
-        return (isinstance(other, SimplicialComplex)
-                and self.simplices == other.simplices)
-
-    def __hash__(self):
-        return hash(self.simplices)
+    def __init__(self, simplices: Iterable, close: bool = False):
+        simps = {tuple(sorted(set(s))) for s in simplices}
+        simps.add(())
+        if close:
+            simps = _closure(simps)
+        self.simplices = tuple(sorted(simps, key=lambda s: (len(s), s)))
+        self.dim = len(self.simplices[-1]) - 1
 
     def export_text(self) -> str:
         """One simplex per line, sorted vertex ids space-separated."""
-        lines = [" ".join(map(str, sorted(s)))
-                 for s in sorted(self.simplices,
-                                 key=lambda s: (len(s), tuple(sorted(s))))
-                 if s]
+        lines = [" ".join(map(str, s)) for s in self.simplices[1:]]
         return "\n".join(lines) + ("\n" if lines else "")
 
     @staticmethod
@@ -258,20 +244,32 @@ class SimplicialComplex:
         """Parse the export format; a bare facet list is also accepted
         (faces are closed over on import)."""
         simps = []
-        for line in text.splitlines():
+        for n, line in enumerate(text.splitlines(), 1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
-            simps.append(frozenset(int(t) for t in line.split()))
+            try:
+                simps.append([int(t) for t in line.split()])
+            except ValueError:
+                raise InvalidSpec(f"complex line {n} is not a list of "
+                                  f"integer vertex ids: {line!r}") from None
         return SimplicialComplex(simps, close=True)
 
 
-def _closure(simplices: Iterable) -> set:
-    """Every face of the given simplices, as sorted vertex tuples, from
-    the top down: each step adds the codimension-1 faces of the simplices
-    that the step before added."""
-    layer = {tuple(sorted(s)) for s in simplices}
-    closed = set(layer)
+def _closure(simplices: set) -> set:
+    """Every face of the given sorted vertex tuples, the empty one among
+    them, from the top down: the open simplices are closed over, each
+    step adding the codimension-1 faces of those the step before added.
+    A closed set costs one pass.  Raises ComplexTooLarge, before any face
+    is made, when the bound on the faces passes FACE_BOUND."""
+    open_ = [t for t in simplices if t and not simplices.issuperset(
+        itertools.combinations(t, len(t) - 1))]
+    bound = len(simplices) - len(open_) + sum(1 << len(t) for t in open_)
+    if bound > FACE_BOUND:
+        raise ComplexTooLarge(
+            f"closing these simplices may make up to {bound} faces;"
+            f" the bound is {FACE_BOUND}")
+    layer, closed = set(open_), set(simplices)
     while layer:
         layer = set(itertools.chain.from_iterable(
             itertools.combinations(t, len(t) - 1) for t in layer if t))
@@ -286,7 +284,7 @@ def order_complex(P: SubgroupPoset) -> SimplicialComplex:
     chains = []
 
     def extend(chain, top):
-        chains.append(frozenset(chain))
+        chains.append(tuple(chain))
         for j in ups[top]:
             chain.append(j)
             extend(chain, j)
@@ -295,12 +293,3 @@ def order_complex(P: SubgroupPoset) -> SimplicialComplex:
     for i in range(len(ups)):
         extend([i], i)
     return SimplicialComplex(chains)
-
-
-def link(C: SimplicialComplex, sigma) -> SimplicialComplex:
-    sigma = frozenset(sigma)
-    if sigma not in C.simplices:
-        raise SimplexNotInComplex(f"{sorted(sigma)} not a simplex")
-    out = [tau for tau in C.simplices
-           if not (tau & sigma) and (tau | sigma) in C.simplices]
-    return SimplicialComplex(out)

@@ -58,7 +58,6 @@ from quillen.group import DEFAULT_ELEMENT_CAP, Group, Subgroup
 from quillen.homology import (
     HomologyProfile,
     SphericityVerdict,
-    _link_failure,
     reduced_homology,
     smith_normal_form,
     sphericity,
@@ -211,9 +210,22 @@ def close_by_combinations(simplices) -> set:
 
 
 def facets(C: SimplicialComplex) -> list:
-    out = [s for s in C.simplices
-           if s and not any(s < t for t in C.simplices)]
+    simps = list(map(frozenset, C.simplices))
+    out = [s for s in simps if s and not any(s < t for t in simps)]
     return sorted(out, key=lambda s: tuple(sorted(s)))
+
+
+def simplices_of_dim(C: SimplicialComplex, k: int) -> list:
+    """The k-simplices of C, in its cell order."""
+    return [s for s in C.simplices if len(s) == k + 1]
+
+
+def n_simplices(C: SimplicialComplex, k: int) -> int:
+    return len(simplices_of_dim(C, k))
+
+
+def vertices(C: SimplicialComplex) -> list:
+    return [v for v, in simplices_of_dim(C, 0)]
 
 
 def euler_characteristic_reduced(C: SimplicialComplex) -> int:
@@ -232,11 +244,11 @@ EMPTY_COMPLEX = SimplicialComplex([])
 def join(C1: SimplicialComplex, C2: SimplicialComplex) -> SimplicialComplex:
     """Join with disjointly relabeled vertices: C1 keeps its ids, C2 is
     shifted.  Join with the vertex-free complex returns the other factor."""
-    shift = (max(C1.vertices) + 1) if C1.vertices else 0
+    shift = max(vertices(C1), default=-1) + 1
     out = []
     for a in C1.simplices:
         for b in C2.simplices:
-            out.append(a | frozenset(x + shift for x in b))
+            out.append(a + tuple(x + shift for x in b))
     return SimplicialComplex(out)
 
 
@@ -250,22 +262,24 @@ class WedgeAssembly:
 
 def wedge(W: WedgeAssembly) -> SimplicialComplex:
     simps = set(W.base.simplices)
-    fresh = (max(W.base.vertices) + 1) if W.base.vertices else 0
+    base = vertices(W.base)
+    fresh = max(base, default=-1) + 1
     for piece, at in W.pieces:
-        if W.base.vertices and at not in W.base.vertices:
+        if base and at not in base:
             raise BadAttachment(f"vertex {at} not in base")
-        if not piece.vertices:
+        verts = vertices(piece)
+        if not verts:
             continue
-        glue = min(piece.vertices)
+        glue = min(verts)
         ren = {}
-        for v in piece.vertices:
+        for v in verts:
             if v == glue:
                 ren[v] = at
             else:
                 ren[v] = fresh
                 fresh += 1
         for s in piece.simplices:
-            simps.add(frozenset(ren[v] for v in s))
+            simps.add(tuple(ren[v] for v in s))
     return SimplicialComplex(simps)
 
 
@@ -602,14 +616,13 @@ class BoundaryMatrix:
 
 
 def boundary_matrix(C: SimplicialComplex, k: int) -> BoundaryMatrix:
-    rows = C.simplices_of_dim(k - 1)
-    cols = C.simplices_of_dim(k)
+    rows = simplices_of_dim(C, k - 1)
+    cols = simplices_of_dim(C, k)
     rindex = {s: i for i, s in enumerate(rows)}
     entries = {}
     for j, s in enumerate(cols):
-        vs = sorted(s)
-        for pos in range(len(vs)):
-            face = frozenset(vs[:pos] + vs[pos + 1:])
+        for pos in range(len(s)):
+            face = s[:pos] + s[pos + 1:]
             entries[(rindex[face], j)] = (-1) ** pos
     return BoundaryMatrix(k, tuple(rows), tuple(cols), entries)
 
@@ -618,7 +631,7 @@ def reduced_homology_by_snf(C: SimplicialComplex) -> HomologyProfile:
     """Reduced homology from the Smith normal form of every full
     augmented boundary matrix, with no coreduction."""
     d = C.dim
-    nsimp = {q: C.n_simplices(q) for q in range(-1, d + 1)}
+    nsimp = {q: n_simplices(C, q) for q in range(-1, d + 1)}
     snf = {}
     for k in range(0, d + 1):
         B = boundary_matrix(C, k)
@@ -653,10 +666,39 @@ def is_cohen_macaulay(C: SimplicialComplex) -> SphericityVerdict:
     if not top.homology_spherical:
         return SphericityVerdict(top.weakly_spherical_in, False, False,
                                  f"complex itself: {top.witness}", profile)
-    witness = next(filter(None, (
-        _link_failure(C, s)
-        for k in range(d + 1) for s in C.simplices_of_dim(k))), None)
+    simps = set(map(frozenset, C.simplices))
+    witness = next(filter(None, (link_failure(C, s, simps)
+                                 for s in C.simplices[1:])), None)
     return SphericityVerdict(d, True, witness is None, witness, profile)
+
+
+class SimplexNotInComplex(QuillenError):
+    pass
+
+
+def link(C: SimplicialComplex, sigma, simps=None) -> SimplicialComplex:
+    """The simplices of C disjoint from sigma whose union with it is in
+    C, by testing every simplex; ``simps`` is C's simplices as a set of
+    frozensets, when the caller has it."""
+    sigma = frozenset(sigma)
+    if simps is None:
+        simps = set(map(frozenset, C.simplices))
+    if sigma not in simps:
+        raise SimplexNotInComplex(f"{sorted(sigma)} not a simplex")
+    return SimplicialComplex(tau for tau in simps
+                             if not (tau & sigma) and (tau | sigma) in simps)
+
+
+def link_failure(C: SimplicialComplex, s, simps=None) -> Optional[str]:
+    """The witness string if the link of simplex s in C is not
+    (dim C - dim s - 1)-spherical, else None."""
+    k = len(s) - 1
+    r = C.dim - k - 1
+    v = sphericity(reduced_homology(link(C, s, simps)), r)
+    if v.homology_spherical:
+        return None
+    return (f"link of {sorted(s)} (dim {k}): not {r}-spherical "
+            f"({v.witness}); {v.profile.describe()}")
 
 
 def p_length_by_phases(G: Group, p: int) -> tuple:

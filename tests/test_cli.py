@@ -227,6 +227,24 @@ def test_library_errors_are_typed_input_errors(spec, error, tmp_path,
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("text,error", [
+    ("0 1 x\n", "InvalidSpec: complex line 1 is not a list of integer "
+                 "vertex ids: '0 1 x'"),
+    (" ".join(map(str, range(40))) + "\n",
+     f"ComplexTooLarge: closing these simplices may make up to "
+     f"{(1 << 40) + 1} "
+     f"faces; the bound is {poset.FACE_BOUND}")],
+    ids=["bad-token", "40-vertex-line"])
+def test_bad_complex_files_are_typed_input_errors(text, error, tmp_path,
+                                                  capsys):
+    """A token that is not an integer, and a line that would close to
+    2^40 faces, are exit 1 with one error line, not a traceback."""
+    path = tmp_path / "bad.cx"
+    path.write_text(text)
+    assert cli.main(["homology", str(path)]) == 1
+    assert capsys.readouterr().err == f"error: {error}\n"
+
+
 def test_escaped_decomposition_failure_is_a_red_alert(monkeypatch, capsys):
     """A DecompositionNotFound that no command catches is exit 2."""
     def fail(T):
