@@ -70,6 +70,8 @@ def _load_spec(args) -> tuple:
         data = json.loads(_read_input(args.spec, "spec"))
     except json.JSONDecodeError as e:
         raise InvalidSpec(f"spec file is not valid JSON: {e}")
+    except RecursionError:
+        raise InvalidSpec("spec file nests too deeply to parse") from None
     spec = cs.GroupSpec.from_json(data)
     return {"group_spec": spec.to_json()}, spec
 
@@ -94,15 +96,18 @@ def _load_group(args) -> tuple:
     return echo, G
 
 
-def _require_prime(args) -> int:
-    if args.prime is None:
-        raise InvalidSpec("--prime is required for this command")
-    p = args.prime
+def _check_prime(p, what: str) -> int:
+    """p, given as ``what``, if it is an int prime of at most
+    TABLE_ORDER_CAP; InvalidSpec otherwise."""
+    if p is None:
+        raise InvalidSpec(f"{what} is required")
+    if type(p) is not int:
+        raise InvalidSpec(f"{what} must be a prime, got {p!r}")
     if p > TABLE_ORDER_CAP:  # no group built has an order divisible by p
-        raise InvalidSpec(f"--prime {p} exceeds the largest group order "
+        raise InvalidSpec(f"{what} {p} exceeds the largest group order "
                           f"{TABLE_ORDER_CAP}")
     if not gp._is_prime(p):
-        raise InvalidSpec(f"--prime must be a prime, got {p}")
+        raise InvalidSpec(f"{what} must be a prime, got {p}")
     return p
 
 
@@ -140,7 +145,7 @@ def _group_command(args, command: str, run) -> int:
     """Shared frame of the group subcommands: require the prime, build
     G, run ``run(TorusComplex(G, p), timings) -> (analyses, code)``, add
     the group statistics and emit the report; each stage is timed."""
-    p = _require_prime(args)
+    p = _check_prime(args.prime, "--prime")
     timings = {}
     with _timer(timings, "build"):
         echo, G = _load_group(args)
@@ -276,6 +281,25 @@ def _default_manifest_path() -> str:
     return os.path.join(os.path.dirname(__file__), "suite_manifest.json")
 
 
+def _manifest_instances(manifest) -> list:
+    """The instances of a suite manifest, each checked before any row
+    runs: an object with a string name, a list of SUITE_CHECKS and a
+    prime that passes the check of --prime."""
+    rows = manifest.get("instances") if isinstance(manifest, dict) else None
+    if not isinstance(rows, list):
+        raise InvalidSpec("suite manifest must be an object with an "
+                          "instances list")
+    for k, inst in enumerate(rows):
+        if not (isinstance(inst, dict) and isinstance(inst.get("name"), str)
+                and isinstance(inst.get("checks"), list)
+                and all(c in SUITE_CHECKS for c in inst["checks"])):
+            raise InvalidSpec(f"manifest instance {k} needs a string name "
+                              f"and a list of checks from "
+                              f"{', '.join(SUITE_CHECKS)}: {inst!r}")
+        _check_prime(inst.get("prime"), f"manifest instance {k} prime")
+    return rows
+
+
 def _run_instance(inst: dict, max_order: Optional[int]) -> dict:
     name, p, checks = inst["name"], inst["prime"], inst["checks"]
     results = {}
@@ -347,19 +371,15 @@ def cmd_suite(args) -> int:
     try:
         with open(path) as fh:
             manifest = json.load(fh)
-    except (OSError, json.JSONDecodeError) as e:
+    except (OSError, json.JSONDecodeError, RecursionError) as e:
         raise InvalidSpec(f"cannot load suite manifest: {e}")
-    instances = manifest.get("instances", [])
+    instances = _manifest_instances(manifest)
     if args.only:
         wanted = set(args.only)
         instances = [i for i in instances if i["name"] in wanted]
         missing = wanted - {i["name"] for i in instances}
         if missing:
             raise InvalidSpec(f"names not in manifest: {sorted(missing)}")
-    for inst in instances:
-        bad = [c for c in inst.get("checks", []) if c not in SUITE_CHECKS]
-        if bad:
-            raise InvalidSpec(f"unknown checks in manifest: {bad}")
 
     rows = [_run_instance(i, args.max_order) for i in instances]
 

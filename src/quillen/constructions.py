@@ -29,6 +29,8 @@ from .errors import (
 from . import group as gp
 from .group import DEFAULT_ELEMENT_CAP, Group, Subgroup
 
+SPEC_DEPTH_CAP = 64  # levels of specs inside a spec; the catalog uses 2
+
 KINDS = ("named", "cyclic", "dihedral", "semidihedral", "quaternion",
          "elementary_abelian", "extraspecial", "direct_product",
          "central_product", "semidirect_product", "perm")
@@ -44,13 +46,17 @@ class GroupSpec:
         return {"kind": self.kind, "params": _params_to_json(self.params)}
 
     @staticmethod
-    def from_json(data: dict) -> "GroupSpec":
+    def from_json(data: dict, depth: int = 0) -> "GroupSpec":
+        """The spec of a JSON object ``depth`` specs deep in another."""
+        if depth > SPEC_DEPTH_CAP:
+            raise InvalidSpec(f"spec nests deeper than {SPEC_DEPTH_CAP}")
         if not isinstance(data, dict) or set(data) - {"kind", "params"}:
             raise InvalidSpec(f"bad spec object: {data!r}")
         kind = data.get("kind")
         if kind not in KINDS:
             raise InvalidSpec(f"unknown kind {kind!r}")
-        return GroupSpec(kind, _params_from_json(kind, data.get("params", {})))
+        return GroupSpec(kind, _params_from_json(data.get("params", {}),
+                                                 depth + 1))
 
 
 def _params_to_json(params):
@@ -65,15 +71,16 @@ def _params_to_json(params):
     return out
 
 
-def _params_from_json(kind, params):
+def _params_from_json(params, depth: int):
     if not isinstance(params, dict):
         raise InvalidSpec("params must be an object")
     out = dict(params)
     for key in ("a", "b", "n", "h"):
         if key in out and isinstance(out[key], dict):
-            out[key] = GroupSpec.from_json(out[key])
+            out[key] = GroupSpec.from_json(out[key], depth)
     if "factors" in out:
-        out["factors"] = [GroupSpec.from_json(s) if isinstance(s, dict) else s
+        out["factors"] = [GroupSpec.from_json(s, depth)
+                          if isinstance(s, dict) else s
                           for s in out["factors"]]
     return out
 
@@ -252,8 +259,8 @@ def direct_product(factors: Sequence[Group],
     every factor's ids are the ranks of its image tuples, as for every
     group built here, so are the product's.  The table entry of two ids
     is the mixed-radix number of the factor table entries.  The order is
-    checked against the cap, and TABLE_ORDER_CAP, before any array is
-    allocated."""
+    checked against the cap, and the order and the degree against
+    TABLE_ORDER_CAP, before any array is allocated."""
     import numpy as np
     if not factors:
         return cyclic(1)
@@ -264,6 +271,7 @@ def direct_product(factors: Sequence[Group],
         if order > cap:
             raise gp.GroupTooLarge(f"direct product order exceeds cap {cap}")
     degree = sum(F.degree for F in factors)
+    gp._check_degree(degree)
     dtype = gp._image_dtype(degree)
     images = np.empty((order, degree), dtype=dtype)
     table = np.zeros((1, 1), dtype=np.int16)

@@ -21,7 +21,8 @@ it, so that importing the package, and commands that build no group, do
 not load it.  Subgroups are immutable member-id sets inside a parent
 group.  A subgroup built with no generating set computes its
 ``generator_witness`` on first read, so one whose witness is never read
-costs no ``closure`` calls.
+costs no ``closure`` calls.  A subgroup search hands back the
+Subgroups it finds, each built once, in the order found.
 """
 
 from __future__ import annotations
@@ -249,6 +250,7 @@ def group_from_generators(degree: int, gens: Sequence[Sequence[int]], *,
     lexsort; the rows of the other elements are then filled in walk
     order as row(x) = row(g)[row(w)], row(w) being filled already."""
     import numpy as np
+    _check_degree(degree)
     perms = [validate_permutation(g, degree) for g in gens]
     cap = min(cap, TABLE_ORDER_CAP)
     dtype = _image_dtype(degree)
@@ -291,6 +293,16 @@ def group_from_generators(degree: int, gens: Sequence[Sequence[int]], *,
     gen_ids = tuple(sorted({ids[row[0]] for row in rows} - {0}))
     return Group(degree, E[order], gen_ids, table, provenance=provenance,
                  label=label)
+
+
+def _check_degree(degree: int) -> None:
+    """Refuse a degree below 0 or past TABLE_ORDER_CAP, before any array
+    is allocated: the images then take no more room than the table."""
+    if degree < 0:
+        raise InvalidPermutation(f"degree must be non-negative, got {degree}")
+    if degree > TABLE_ORDER_CAP:
+        raise GroupTooLarge(f"degree {degree} exceeds the largest group order "
+                            f"{TABLE_ORDER_CAP}")
 
 
 def _image_dtype(degree: int) -> np.dtype:
@@ -537,37 +549,35 @@ def quotient_group(S, N: Subgroup, *, label: str = "") -> Group:
 
 # -- rank and p-group structure -----------------------------------------
 
-def elementary_abelian_subgroups(S, p: int) -> dict:
+def elementary_abelian_subgroups(S, p: int) -> list:
     """All nontrivial elementary abelian p-subgroups of the Group or
-    Subgroup S (member frozensets, each mapped to generators), grown from
-    1 by centralizing order-p elements."""
+    Subgroup S, in the order found, grown from 1 by centralizing order-p
+    elements."""
     S = _as_subgroup(S)
     G = S.parent
-    return dict(_grow(G, _ambient(S, G.orders == p),
-                      frozenset([G.identity]), (),
-                      lambda H, gens, cand: _commuting(G, gens, cand))[1:])
+    return _grow(G, _ambient(S, G.orders == p), G.trivial_subgroup(),
+                 lambda H, cand: _commuting(G, H.generator_witness, cand))[1:]
 
 
-def _ambient(S: Subgroup, mask) -> frozenset:
-    """The identity and the members x of S with ``mask[x]`` true."""
+def _ambient(S: Subgroup, mask) -> list:
+    """The members x of S with ``mask[x]`` true, ascending."""
     import numpy as np
     ids = np.array(S.members)
-    return frozenset([S.parent.identity, *ids[mask[ids]].tolist()])
+    return ids[mask[ids]].tolist()
 
 
-def _grow(G: Group, amb: frozenset, start: frozenset, gens: tuple,
-          steps) -> list:
-    """Every subgroup reached from ``start``, generated by ``gens``, by
-    steps H -> H<g>, one per coset Hg, for the g outside H that
-    ``steps(H, gens of H, ids of amb)`` passes: g normalizes H and keeps
-    H<g> = H·<g> in ``amb``.  (members, generators) pairs, sorted by
-    (order, members)."""
+def _grow(G: Group, amb: list, start: Subgroup, steps) -> list:
+    """Every subgroup reached from ``start`` by steps H -> H<g>, one per
+    coset Hg, for the g outside H that ``steps(H, ids of amb)`` passes:
+    g normalizes H and keeps H<g> = H·<g> in 1 and the ascending ids
+    ``amb``.  Each is built once, generated by H's generators and g, and
+    they come in the order found, ``start`` first."""
     import numpy as np
-    found, queue, cyclic = {start: gens}, [start], {}
-    ids = np.array(sorted(amb), dtype=np.intp)
-    for H in queue:
-        h, done = np.fromiter(H, dtype=np.intp, count=len(H))[:, None], set(H)
-        for g in steps(H, found[H], ids):
+    found, seen, cyclic = [start], {start.member_set}, {}
+    ids = np.array(amb, dtype=np.intp)
+    for H in found:
+        h, done = np.array(H.members, dtype=np.intp)[:, None], set(H.members)
+        for g in steps(H, ids):
             if g in done:
                 continue
             if g not in cyclic:
@@ -575,10 +585,10 @@ def _grow(G: Group, amb: frozenset, start: frozenset, gens: tuple,
             HG = G.table[h, cyclic[g]]  # column k is the coset Hg^k
             done.update(HG[:, 1].tolist())
             K = frozenset(HG.ravel().tolist())
-            if K not in found:
-                found[K] = found[H] + (g,)
-                queue.append(K)
-    return sorted(found.items(), key=lambda kv: (len(kv[0]), sorted(kv[0])))
+            if K not in seen:
+                found.append(Subgroup(G, K, H.generator_witness + (g,)))
+                seen.add(found[-1].member_set)  # no second copy of K kept
+    return found
 
 
 def _cyclic_ids(G: Group, g: int) -> tuple:
@@ -613,9 +623,9 @@ def rank(P, p: int) -> int:
     if P.order == 1:
         return 0
     G, Z = P.parent, omega1(center(P), p)
-    tori = _grow(G, _ambient(P, G.orders == p), Z.member_set, Z.generator_witness,
-                 lambda H, gens, cand: _commuting(G, gens, cand))
-    return _p_rank(len(tori[-1][0]), p)
+    tori = _grow(G, _ambient(P, G.orders == p), Z,
+                 lambda H, cand: _commuting(G, H.generator_witness, cand))
+    return _p_rank(max(T.order for T in tori), p)
 
 
 def frattini_subgroup(P, p: int) -> Subgroup:
@@ -669,24 +679,24 @@ def _dihedral_like(S, twist) -> bool:
 
 # -- p-subgroup enumeration (for the Brown poset and Sylow counting) ----
 
-def all_p_subgroups(S, p: int) -> dict:
-    """All nontrivial p-subgroups of the Group or Subgroup S (member
-    frozensets, each mapped to generators), grown from 1 by normalizing
-    p-elements g, so H<g> = H·<g> is a p-group.  Every K is reached: it
-    has a normal H of index p, and K = H<g> for every g of K outside H."""
+def all_p_subgroups(S, p: int) -> list:
+    """All nontrivial p-subgroups of the Group or Subgroup S, in the
+    order found, grown from 1 by normalizing p-elements g, so H<g> =
+    H·<g> is a p-group.  Every K is reached: it has a normal H of index
+    p, and K = H<g> for every g of K outside H."""
     S = _as_subgroup(S)
     G = S.parent
     p_elements = G.powers(G.order // _p_prime_part(G.order, p)) == G.identity
-    return dict(_grow(G, _ambient(S, p_elements),
-                      frozenset([G.identity]), (),
-                      lambda H, gens, cand: _normalizing(G, H, gens, cand))[1:])
+    return _grow(G, _ambient(S, p_elements), G.trivial_subgroup(),
+                 lambda H, cand: _normalizing(G, H.members,
+                                              H.generator_witness, cand))[1:]
 
 
-def abelian_subgroups(S) -> dict:
-    """All abelian subgroups of the Group or Subgroup S (including the
-    trivial one; member frozensets, each mapped to generators), by
-    extension over centralizing elements."""
+def abelian_subgroups(S) -> list:
+    """All abelian subgroups of the Group or Subgroup S, in the order
+    found, the trivial one first, by extension over centralizing
+    elements."""
     S = _as_subgroup(S)
     G = S.parent
-    return dict(_grow(G, S.member_set, frozenset([G.identity]), (),
-                      lambda H, gens, cand: _commuting(G, gens, cand)))
+    return _grow(G, S.members, G.trivial_subgroup(),
+                 lambda H, cand: _commuting(G, H.generator_witness, cand))

@@ -2,6 +2,9 @@
 and the conjugacy classes of their nodes, and simplicial complexes:
 their order complexes, and complexes read from a facet list.
 
+A poset builder hands the Subgroups its search finds to SubgroupPoset,
+whose sort is the one sort of the nodes.
+
 A SimplicialComplex always contains the empty simplex; the vertex-free
 complex {()} has dimension -1 and reduced homology Z in degree -1, which
 makes the degree arithmetic of the join formula uniform.
@@ -18,8 +21,9 @@ from .group import Group, Subgroup
 
 
 class SubgroupPoset:
-    """An inclusion-ordered family of subgroups of a ground group, with
-    canonical node order (by subgroup order, then member tuple).
+    """An inclusion-ordered family of subgroups of a ground group, each
+    kept once, in canonical node order (by subgroup order, then member
+    tuple), whatever the order given.
 
     The relation is held as Python-int bitsets, bit j standing for node j:
     ``containing[x]`` has the nodes that hold element id x, ``above[i]``
@@ -126,28 +130,23 @@ def _meet(containing: list, elements: Iterable[int], nodes: int) -> int:
 
 # -- poset builders -----------------------------------------------------
 
-def _poset(S, found: dict) -> SubgroupPoset:
-    """The nodes of ``found``, each with the generators it was grown by."""
-    G = gp._as_subgroup(S).parent
-    return SubgroupPoset(G, [Subgroup(G, s, gens) for s, gens in found.items()])
-
-
 def quillen_poset(S, p: int) -> SubgroupPoset:
     """A_p(S): all nontrivial elementary abelian p-subgroups of the Group
     or Subgroup S."""
-    return _poset(S, gp.elementary_abelian_subgroups(S, p))
+    return SubgroupPoset(gp._as_subgroup(S).parent,
+                         gp.elementary_abelian_subgroups(S, p))
 
 
 def brown_poset(S, p: int) -> SubgroupPoset:
     """S_p(S): all nontrivial p-subgroups of the Group or Subgroup S, S
     itself included when it is a p-group.  This is the poset whose order
     complex is homotopy equivalent to that of A_p(S) (Quillen 1978)."""
-    return _poset(S, gp.all_p_subgroups(S, p))
+    return SubgroupPoset(gp._as_subgroup(S).parent, gp.all_p_subgroups(S, p))
 
 
 def ab_poset(D) -> SubgroupPoset:
     """Ab(D): all abelian subgroups of D (including the trivial one)."""
-    return _poset(D, gp.abelian_subgroups(D))
+    return SubgroupPoset(gp._as_subgroup(D).parent, gp.abelian_subgroups(D))
 
 
 def upper_interval(P: SubgroupPoset, x: Subgroup) -> SubgroupPoset:

@@ -213,7 +213,7 @@ def _candidate_T(P: Subgroup, Pp: Subgroup) -> list:
     G = P.parent
     C = gp.centralizer(P, Pp)
     squares, seen = G.powers(2), {}
-    involutions = sorted(gp._ambient(P, G.orders == 2) - C.member_set)
+    involutions = [z for z in gp._ambient(P, G.orders == 2) if z not in C]
     for x in P.members:
         if G.closure([int(squares[x])]) != Pp.member_set:
             continue

@@ -354,10 +354,16 @@ def grow_by_predicate(G: Group, amb: frozenset, seeds, extends) -> list:
     return sorted(found, key=lambda s: (len(s), tuple(sorted(s))))
 
 
+def _ambient_set(S: Subgroup, keep) -> frozenset:
+    """The identity and the members of S whose order passes ``keep``."""
+    G = S.parent
+    return frozenset([G.identity, *gp._ambient(S, _order_mask(G, keep))])
+
+
 def elementary_abelian_subgroups_by_predicate(S, p: int) -> list:
     S = gp._as_subgroup(S)
     G = S.parent
-    amb = gp._ambient(S, _order_mask(G, lambda o: o == p))
+    amb = _ambient_set(S, lambda o: o == p)
     seeds = (G.closure([x]) for x in sorted(amb) if x != G.identity)
     return grow_by_predicate(G, amb, seeds,
                              lambda H, g: _centralizes(G, g, H))
@@ -366,7 +372,7 @@ def elementary_abelian_subgroups_by_predicate(S, p: int) -> list:
 def all_p_subgroups_by_predicate(S, p: int) -> list:
     S = gp._as_subgroup(S)
     G = S.parent
-    amb = gp._ambient(S, _order_mask(G, lambda o: gp._is_p_power(o, p)))
+    amb = _ambient_set(S, lambda o: gp._is_p_power(o, p))
     seeds = (G.closure([x]) for x in sorted(amb)
              if element_order(G, x) == p)
     return grow_by_predicate(G, amb, seeds,
@@ -386,7 +392,7 @@ def rank_by_predicate(P, p: int) -> int:
     if P.order == 1:
         return 0
     G = P.parent
-    tori = grow_by_predicate(G, gp._ambient(P, _order_mask(G, lambda o: o == p)),
+    tori = grow_by_predicate(G, _ambient_set(P, lambda o: o == p),
                              [gp.omega1(gp.center(P), p).member_set],
                              lambda H, g: _centralizes(G, g, H))
     return gp._p_rank(len(tori[-1]), p)
@@ -404,10 +410,17 @@ def sylow_by_predicate(G: Group, p: int) -> Subgroup:
     return Subgroup(G, H, gens)
 
 
+def member_sets(subgroups) -> list:
+    """The member sets of the listed subgroups, in the oracles' order:
+    by order, then members."""
+    return sorted((K.member_set for K in subgroups),
+                  key=lambda s: (len(s), tuple(sorted(s))))
+
+
 def rank_by_all_tori(P, p: int) -> int:
     """The rank of the p-group P, read off every torus of P."""
     tori = gp.elementary_abelian_subgroups(P, p)
-    return max((gp._p_rank(len(T), p) for T in tori), default=0)
+    return max((gp._p_rank(T.order, p) for T in tori), default=0)
 
 
 def all_sylow_subgroups(G: Group, p: int) -> list:

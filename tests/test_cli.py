@@ -277,6 +277,30 @@ def test_large_prime_fails_fast(prime, capsys):
     assert "InvalidSpec" in capsys.readouterr().err
 
 
+def _nested(depth):
+    """The spec text of C2 inside ``depth`` one-factor direct products."""
+    return ('{"kind": "direct_product", "params": {"factors": [' * depth
+            + '{"kind": "cyclic", "params": {"order": 2}}' + "]}}" * depth)
+
+
+@pytest.mark.parametrize("depth", [cs.SPEC_DEPTH_CAP + 1, 400])
+def test_a_deeply_nested_spec_fails_with_one_error_line(depth, tmp_path,
+                                                        capsys):
+    """A spec nested past SPEC_DEPTH_CAP is refused; one too deep for
+    the JSON parser, at 400 levels, is refused by the parser's recursion
+    bound.  Either is exit 1 with one error line; the cap itself is
+    admitted."""
+    path = tmp_path / "spec.json"
+    path.write_text(_nested(cs.SPEC_DEPTH_CAP))
+    assert cli.main(["plength", str(path), "--prime", "2"]) == 0
+    capsys.readouterr()
+    path.write_text(_nested(depth))
+    assert cli.main(["plength", str(path), "--prime", "2"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: InvalidSpec: spec ") and "nests" in err
+    assert err.count("\n") == 1
+
+
 def test_element_cap_env_rejected_if_not_int(tmp_path, monkeypatch):
     monkeypatch.setenv(cli.CAP_ENV_VAR, "abc")
     out = tmp_path / "x"
@@ -424,6 +448,53 @@ def test_parser_is_built_once_and_keeps_no_state(monkeypatch, capsys):
     assert [code for code, _ in reused] == [0, 2, 0]
     assert "brown" in reused[0][1]["analyses"]
     assert "brown" not in reused[2][1]["analyses"]
+
+
+_ROW = {"name": "S3", "prime": 2, "checks": ["quillen"]}
+_NOT_AN_OBJECT = "suite manifest must be an object with an instances list"
+
+
+def _manifest(row):
+    """A manifest whose second row is ``row``; its other keys are allowed."""
+    return {"version": 1, "comment": "", "instances": [_ROW, row]}
+
+
+def _bad_row(row):
+    return (_manifest(row), "manifest instance 1 needs a string name and a "
+            f"list of checks from {', '.join(cli.SUITE_CHECKS)}: {row!r}")
+
+
+def _bad_prime(prime, error):
+    row = {"name": "S3", "prime": prime, "checks": ["cm"]}
+    if prime is None:
+        del row["prime"]
+    return _manifest(row), f"manifest instance 1 prime {error}"
+
+
+@pytest.mark.parametrize("manifest,error", [
+    ([_ROW], _NOT_AN_OBJECT), ({"version": 1}, _NOT_AN_OBJECT),
+    ({"instances": _ROW}, _NOT_AN_OBJECT),
+    _bad_row(3), _bad_row({"prime": 2, "checks": []}),
+    _bad_row({"name": "S3", "prime": 2}),
+    _bad_row({"name": "S3", "prime": 2, "checks": ["nope"]}),
+    _bad_prime(None, "is required"),
+    _bad_prime("x", "must be a prime, got 'x'"),
+    _bad_prime(4, "must be a prime, got 4"),
+    _bad_prime(True, "must be a prime, got True"),
+    _bad_prime(16411, "16411 exceeds the largest group order 16384")],
+    ids=["a-list", "no-instances", "instances-an-object",
+         "row-a-number", "no-name", "no-checks", "unknown-check",
+         "no-prime", "prime-a-string", "prime-4", "prime-true",
+         "prime-past-the-cap"])
+def test_malformed_manifests_are_refused_before_any_row(
+        manifest, error, tmp_path, capsys, monkeypatch):
+    """A manifest is checked whole before its first row runs, and a bad
+    one is exit 1 with one error line."""
+    monkeypatch.setattr(cli, "_run_instance", lambda *a: pytest.fail("ran"))
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(manifest))
+    assert cli.main(["suite", "--manifest", str(path)]) == 1
+    assert capsys.readouterr().err == f"error: InvalidSpec: {error}\n"
 
 
 def test_suite_unknown_only_name(tmp_path):

@@ -12,6 +12,7 @@ from quillen import constructions as cs
 from quillen import group as gp
 from quillen.errors import (
     ActionNotHomomorphism,
+    InvalidPermutation,
     InvalidSpec,
     NotCentral,
     UnknownName,
@@ -272,6 +273,24 @@ def test_builders_refuse_an_over_cap_order_before_writing_generators(
     with pytest.raises(gp.GroupTooLarge,
                        match=r"^group order 3\^1000000000 exceeds cap 16384$"):
         cs.elementary_abelian(3, 10 ** 9, cap=10 ** 9)
+
+
+def test_a_degree_past_the_table_bound_is_refused():
+    """A permutation degree past TABLE_ORDER_CAP is refused before any
+    array is allocated, in a walk and in a direct product; the bound
+    itself is admitted."""
+    def perm(degree):
+        return cs.GroupSpec("perm", {"degree": degree, "generators": []})
+    G = cs.build(perm(gp.TABLE_ORDER_CAP))
+    assert (G.order, G.degree) == (1, 16384)
+    with pytest.raises(gp.GroupTooLarge, match=r"^degree 16385 exceeds "
+                       r"the largest group order 16384$"):
+        cs.build(perm(16385))
+    with pytest.raises(gp.GroupTooLarge, match=r"^degree 32768 exceeds"):
+        cs.direct_product([G, G])
+    with pytest.raises(InvalidPermutation,
+                       match=r"^degree must be non-negative, got -1$"):
+        cs.build(perm(-1))
 
 
 def test_semidirect_product_checks_the_order_before_the_action():

@@ -389,8 +389,8 @@ def test_elementary_abelian_subgroup_counts():
     G = G_of("D8")
     tori = gp.elementary_abelian_subgroups(G, 2)
     # D8: 5 involutions -> 5 C2s, plus 2 V4s
-    assert len([t for t in tori if len(t) == 2]) == 5
-    assert len([t for t in tori if len(t) == 4]) == 2
+    assert len([t for t in tori if t.order == 2]) == 5
+    assert len([t for t in tori if t.order == 4]) == 2
     assert len(tori) == 7
 
 
@@ -399,7 +399,7 @@ def test_all_p_subgroups_s4():
     subs = gp.all_p_subgroups(G, 2)
     by_order = {}
     for s in subs:
-        by_order[len(s)] = by_order.get(len(s), 0) + 1
+        by_order[s.order] = by_order.get(s.order, 0) + 1
     # S4: 9 C2, 3 C4 + 4 V4 (one normal + 3 in the Sylows), 3 D8
     assert by_order[2] == 9
     assert by_order[4] == 7
@@ -414,7 +414,7 @@ def test_all_subgroups_counts():
 
 def test_abelian_subgroups_include_trivial():
     subs = gp.abelian_subgroups(G_of("D8"))
-    assert frozenset([0]) in subs
+    assert subs[0].members == (0,)
     assert len(subs) == 9  # 10 subgroups of D8 minus the nonabelian whole
 
 
@@ -440,7 +440,9 @@ def test_enumerators_match_filtered_all_subgroups(name):
     assert G.order <= 216
     subs = oracles.all_subgroups(G)
     S = {K: gp.Subgroup(G, K) for K in subs}
-    assert list(gp.abelian_subgroups(G)) == [K for K in subs if gp.is_abelian(S[K])]
+    assert gp.abelian_subgroups(G)[0].order == 1
+    assert oracles.member_sets(gp.abelian_subgroups(G)) == \
+        [K for K in subs if gp.is_abelian(S[K])]
     for p in _primes(G.order):
         P = gp.sylow_subgroup(G, p)
         inP = [K for K in subs if K <= P.member_set]
@@ -448,14 +450,17 @@ def test_enumerators_match_filtered_all_subgroups(name):
         for scope, inside in ((G, subs), (P, inP)):
             psubs = [K for K in inside
                      if len(K) > 1 and gp.is_p_group(S[K], p)]
-            assert list(gp.all_p_subgroups(scope, p)) == psubs
-            assert list(gp.elementary_abelian_subgroups(scope, p)) == \
+            assert oracles.member_sets(gp.all_p_subgroups(scope, p)) == psubs
+            assert oracles.member_sets(
+                gp.elementary_abelian_subgroups(scope, p)) == \
                 [K for K in psubs if gp.is_elementary_abelian(S[K], p)]
-        assert list(gp.abelian_subgroups(P)) == \
+        assert oracles.member_sets(gp.abelian_subgroups(P)) == \
             [K for K in inP if gp.is_abelian(S[K])]
         for found in (gp.abelian_subgroups(G), gp.all_p_subgroups(G, p),
                       gp.elementary_abelian_subgroups(G, p)):
-            assert all(G.closure(gens) == K for K, gens in found.items())
+            assert len(set(found)) == len(found)  # a poset would hide a repeat
+            assert all(G.closure(K.generator_witness) == K.member_set
+                       for K in found)
 
 
 @pytest.mark.parametrize("name", SMALL)
@@ -492,12 +497,12 @@ def test_enumerators_match_member_predicates_at_scale(names, primes):
     # D10 and D14 are not in the catalog
     G = cs.direct_product([G_of(n) if n in SMALL else cs.dihedral(int(n[1:]))
                            for n in names])
-    assert list(gp.abelian_subgroups(G)) == \
+    assert oracles.member_sets(gp.abelian_subgroups(G)) == \
         oracles.abelian_subgroups_by_predicate(G)
     for p in primes:
-        assert list(gp.elementary_abelian_subgroups(G, p)) == \
+        assert oracles.member_sets(gp.elementary_abelian_subgroups(G, p)) == \
             oracles.elementary_abelian_subgroups_by_predicate(G, p)
-        assert list(gp.all_p_subgroups(G, p)) == \
+        assert oracles.member_sets(gp.all_p_subgroups(G, p)) == \
             oracles.all_p_subgroups_by_predicate(G, p)
         P = gp.sylow_subgroup(G, p)
         assert gp.rank(P, p) == oracles.rank_by_predicate(P, p)
@@ -505,7 +510,7 @@ def test_enumerators_match_member_predicates_at_scale(names, primes):
 
 def test_tori_match_member_predicates_on_c3_4_sd16oc4():
     G = G_of("C3^4:(SD16oC4)")
-    assert list(gp.elementary_abelian_subgroups(G, 2)) == \
+    assert oracles.member_sets(gp.elementary_abelian_subgroups(G, 2)) == \
         oracles.elementary_abelian_subgroups_by_predicate(G, 2)
 
 
@@ -718,10 +723,12 @@ def test_products_build_no_element_tuples():
 
 
 def test_images_keep_a_dtype_that_fits_the_degree():
-    # ids are int16, but a perm spec's degree is not capped
-    swap = list(range(1, 39999)) + [40000, 39999]
-    G = cs.build(cs.GroupSpec("perm", {"degree": 40000, "generators": [swap]}))
-    assert G.order == 2 and oracles.elements(G)[1][-2:] == (39999, 39998)
+    # a perm spec's degree may reach TABLE_ORDER_CAP, past what uint8 holds
+    n = gp.TABLE_ORDER_CAP
+    swap = list(range(1, n - 1)) + [n, n - 1]
+    G = cs.build(cs.GroupSpec("perm", {"degree": n, "generators": [swap]}))
+    assert G.images.dtype == np.uint16
+    assert G.order == 2 and oracles.elements(G)[1][-2:] == (n - 1, n - 2)
     assert G.table.tolist() == [[0, 1], [1, 0]]
     _assert_table_as_by_index_lookup(G)
 

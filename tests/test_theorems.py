@@ -273,8 +273,7 @@ def _group(name):
 def _central_ds(name, p):
     """Every subgroup D of the p-group ``name`` with |D'| = p central."""
     G = _group(name)
-    for m in gp.all_p_subgroups(G, p):
-        D = gp.Subgroup(G, m)
+    for D in gp.all_p_subgroups(G, p):
         Dp = gp.derived_subgroup(D)
         if Dp.order == p and Dp <= gp.center(D):
             yield D
