@@ -103,11 +103,10 @@ def _check_prime(p, what: str) -> int:
         raise InvalidSpec(f"{what} is required")
     if type(p) is not int:
         raise InvalidSpec(f"{what} must be a prime, got {p!r}")
-    if p > TABLE_ORDER_CAP:  # no group built has an order divisible by p
-        raise InvalidSpec(f"{what} {p} exceeds the largest group order "
-                          f"{TABLE_ORDER_CAP}")
-    if not gp._is_prime(p):
-        raise InvalidSpec(f"{what} must be a prime, got {p}")
+    if not gp.is_prime_within_cap(p):
+        raise InvalidSpec(
+            f"{what} {p} exceeds the largest group order {TABLE_ORDER_CAP}"
+            if p > TABLE_ORDER_CAP else f"{what} must be a prime, got {p}")
     return p
 
 

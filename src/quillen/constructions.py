@@ -100,9 +100,7 @@ def cyclic(n: int, cap: int = DEFAULT_ELEMENT_CAP) -> Group:
 
 
 def _require_prime(p: int, kind: str) -> None:
-    # a prime above the largest group order divides no group built, and
-    # is refused before its slow primality test
-    if p > gp.TABLE_ORDER_CAP or not gp._is_prime(p):
+    if not gp.is_prime_within_cap(p):
         raise InvalidSpec(f"{kind} needs a prime p at most "
                           f"{gp.TABLE_ORDER_CAP}, got {p}")
 

@@ -21,8 +21,11 @@ it, so that importing the package, and commands that build no group, do
 not load it.  Subgroups are immutable member-id sets inside a parent
 group.  A subgroup built with no generating set computes its
 ``generator_witness`` on first read, so one whose witness is never read
-costs no ``closure`` calls.  A subgroup search hands back the
-Subgroups it finds, each built once, in the order found.
+costs no ``closure`` calls.  A subgroup search (``_grow``) extends one
+representative per conjugacy class, the representatives of one order at
+a time, by numpy masks over (representative, candidate) pairs, and
+conjugates each new class out whole; it hands back the Subgroups it
+finds, each built once, in any order.
 """
 
 from __future__ import annotations
@@ -39,6 +42,7 @@ from .errors import (
 )
 
 DEFAULT_ELEMENT_CAP = 4096
+GROW_BUDGET = 1 << 21  # entries per chunk of _grow's membership matrix and Ks
 DERIVED_SERIES_DEPTH_CAP = 32
 TABLE_ORDER_CAP = 1 << 14  # bounds every cap: ids fit int16, a 512 MiB table
 
@@ -551,12 +555,14 @@ def quotient_group(S, N: Subgroup, *, label: str = "") -> Group:
 
 def elementary_abelian_subgroups(S, p: int) -> list:
     """All nontrivial elementary abelian p-subgroups of the Group or
-    Subgroup S, in the order found, grown from 1 by centralizing order-p
-    elements."""
+    Subgroup S, in any order, grown from 1 by steps H -> H<g> of index p
+    for order-p elements g of S that centralize H, one representative
+    per S-class extended.  Each torus is reached: any hyperplane of it is
+    a torus of lower order."""
     S = _as_subgroup(S)
     G = S.parent
-    return _grow(G, _ambient(S, G.orders == p), G.trivial_subgroup(),
-                 lambda H, cand: _commuting(G, H.generator_witness, cand))[1:]
+    return _grow(S, _ambient(S, G.orders == p), G.trivial_subgroup(), (p,),
+                 False)[1:]
 
 
 def _ambient(S: Subgroup, mask) -> list:
@@ -566,29 +572,113 @@ def _ambient(S: Subgroup, mask) -> list:
     return ids[mask[ids]].tolist()
 
 
-def _grow(G: Group, amb: list, start: Subgroup, steps) -> list:
-    """Every subgroup reached from ``start`` by steps H -> H<g>, one per
-    coset Hg, for the g outside H that ``steps(H, ids of amb)`` passes:
-    g normalizes H and keeps H<g> = H·<g> in 1 and the ascending ids
-    ``amb``.  Each is built once, generated by H's generators and g, and
-    they come in the order found, ``start`` first."""
+def _grow(S: Subgroup, amb: list, start: Subgroup, primes: Sequence[int],
+          normalizing: bool) -> list:
+    """Every subgroup reached from ``start``, which S normalizes, by steps
+    H -> K = H<g> of prime index q in ``primes``: g lies in the ascending
+    ids ``amb`` and outside H, g^q lies in H, and g centralizes H (or,
+    with ``normalizing``, normalizes it).  ``amb`` must be S-invariant
+    and hold all of K outside H with g.  ``start`` comes first, then the
+    others in any order, each built once, generated by its witness.
+
+    Only one representative of each class under conjugation by S is
+    extended.  Representatives are taken in buckets of one order, in
+    ascending order, as arrays of sorted member rows and of witnesses.
+    Every step test is a numpy mask over (representative, candidate)
+    pairs, the cheap ones first, compacted after each witness column.
+    Membership is read from a bool matrix of representatives by ids;
+    it, and the Ks built at once, are chunked to GROW_BUDGET entries.
+    One g per coset Hg is kept, the coset's least id, and K is the union
+    of the cosets Hg^j, j < q.  A new K's class is conjugated out at
+    once through x -> s^-1 x s for the generators s of S, witnesses
+    alongside, so a later K conjugate to it is no longer new.  That
+    finds every node: a node K above ``start`` has a subgroup H0 of
+    prime index that contains ``start`` and is normal in K (for the
+    centralizing tests, any such H0), H0 = H^x for a representative H
+    of lower order, and K^(x^-1) = H<g^(x^-1)> where g^(x^-1) passes
+    H's test, since the ambient ids and the tests are S-invariant."""
     import numpy as np
-    found, seen, cyclic = [start], {start.member_set}, {}
-    ids = np.array(amb, dtype=np.intp)
-    for H in found:
-        h, done = np.array(H.members, dtype=np.intp)[:, None], set(H.members)
-        for g in steps(H, ids):
-            if g in done:
-                continue
-            if g not in cyclic:
-                cyclic[g] = _cyclic_ids(G, g)
-            HG = G.table[h, cyclic[g]]  # column k is the coset Hg^k
-            done.update(HG[:, 1].tolist())
-            K = frozenset(HG.ravel().tolist())
-            if K not in seen:
-                found.append(Subgroup(G, K, H.generator_witness + (g,)))
-                seen.add(found[-1].member_set)  # no second copy of K kept
+    G = S.parent
+    t, inv, n = G.table, G.inverse, G.order
+    cand = np.array(amb, dtype=np.intp)
+    gens = np.array(S.generator_witness, dtype=np.intp)
+    conj = t[t[inv[gens]], gens[:, None]]  # row k: x -> s_k^-1 x s_k
+    powers = [(q, G.powers(q)[cand]) for q in primes]
+    first = np.array(start.members, dtype=np.int16)
+    found, seen = [start], {first.tobytes()}
+    buckets = {start.order: ([first], [start.generator_witness])}
+    while buckets:
+        rows, wits = buckets.pop(min(buckets))
+        R = np.array(rows, dtype=np.int16)
+        W = np.array(wits, dtype=np.intp).reshape(len(rows), len(wits[0]))
+        chunk = max(1, GROW_BUDGET // n)
+        for lo in range(0, len(R), chunk):
+            Rc, Wc = R[lo:lo + chunk], W[lo:lo + chunk]
+            inside = np.zeros((len(Rc), n), dtype=bool)  # each H's members
+            inside[np.arange(len(Rc))[:, None], Rc] = True
+            out = ~inside[:, cand]  # g outside H
+            for q, qth in powers:
+                i, j = np.nonzero(inside[:, qth] & out)  # and g^q in H
+                g = cand[j]
+                for x in Wc.T:  # the step test, one witness column at a time
+                    x = x[i]
+                    keep = (inside[i, t[t[inv[g], x], g]] if normalizing
+                            else t[g, x] == t[x, g])
+                    i, g = i[keep], g[keep]
+                step = max(1, GROW_BUDGET // (q * Rc.shape[1]))
+                for a in range(0, len(i), step):
+                    _extend(G, Rc, Wc, i[a:a + step], g[a:a + step], q, conj,
+                            found, seen, buckets)
     return found
+
+
+def _extend(G: Group, R, W, i, g, q: int, conj, found: list, seen: set,
+            buckets: dict) -> None:
+    """K = H<g> for the rows H = R[i] and their g, each new class of K
+    conjugated out into ``found`` and ``seen``, and one K of it put in
+    ``buckets`` as that class's representative."""
+    import numpy as np
+    t = G.table
+    H = R[i]
+    least = t[H, g[:, None]].min(axis=1) == g  # g is the least id of Hg
+    H, i, g = H[least], i[least], g[least]
+    cosets, gj = [H], g
+    for _ in range(q - 1):
+        cosets.append(t[H, gj[:, None]])
+        gj = t[gj, g]
+    K = np.sort(np.concatenate(cosets, axis=1), axis=1)
+    KW = np.concatenate([W[i], g[:, None]], axis=1)
+    keys, width = K.tobytes(), 2 * K.shape[1]
+    for r in range(len(K)):
+        if keys[r * width:(r + 1) * width] in seen:
+            continue
+        rows, wits = buckets.setdefault(K.shape[1], ([], []))
+        rows.append(K[r])
+        wits.append(KW[r])
+        _conjugate_out(G, K[r:r + 1], KW[r:r + 1], conj, found, seen)
+
+
+def _conjugate_out(G: Group, F, FW, conj, found: list, seen: set) -> None:
+    """Put the class of the subgroup whose sorted member row is F[0], and
+    the conjugates of its witness FW[0], into ``found`` and ``seen``, one
+    frontier at a time, through every row of ``conj`` at once."""
+    import numpy as np
+    seen.add(F.tobytes())
+    found.append(Subgroup(G, F[0].tolist(), FW[0].tolist()))
+    width = 2 * F.shape[1]
+    while True:
+        X = np.sort(conj[:, F].reshape(-1, F.shape[1]), axis=1)
+        keys, keep = X.tobytes(), []
+        for r in range(len(X)):
+            key = keys[r * width:(r + 1) * width]
+            if key not in seen:
+                seen.add(key)
+                keep.append(r)
+        if not keep:
+            return
+        F, FW = X[keep], conj[:, FW].reshape(-1, FW.shape[1])[keep]
+        found.extend(Subgroup(G, m, w) for m, w in
+                     zip(F.tolist(), FW.tolist()))
 
 
 def _cyclic_ids(G: Group, g: int) -> tuple:
@@ -604,6 +694,13 @@ def _is_prime(n: int) -> bool:
     return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
 
 
+def is_prime_within_cap(p: int) -> bool:
+    """Whether p is a prime at most TABLE_ORDER_CAP.  The cap is tested
+    first: a larger prime divides no group built, and is refused before
+    its slow primality test."""
+    return p <= TABLE_ORDER_CAP and _is_prime(p)
+
+
 def _p_rank(order: int, p: int) -> int:
     """r with order = p^r."""
     r = 0
@@ -615,16 +712,18 @@ def _p_rank(order: int, p: int) -> int:
 
 def rank(P, p: int) -> int:
     """The largest r with a torus of order p^r in the p-group P.  Only
-    the tori above Omega1(Z(P)) are grown: T·Omega1(Z(P)) is a torus for
-    every torus T, so each maximal torus contains Omega1(Z(P))."""
+    the tori above Omega1(Z(P)) are grown, by index-p steps by
+    centralizing order-p elements, one representative per P-class
+    extended: T·Omega1(Z(P)) is a torus for every torus T, so each
+    maximal torus contains Omega1(Z(P)), and a torus above it has a
+    hyperplane that contains it."""
     P = _as_subgroup(P)
     if not is_p_group(P, p):
         raise NotAPGroup("rank requires a p-group")
     if P.order == 1:
         return 0
     G, Z = P.parent, omega1(center(P), p)
-    tori = _grow(G, _ambient(P, G.orders == p), Z,
-                 lambda H, cand: _commuting(G, H.generator_witness, cand))
+    tori = _grow(P, _ambient(P, G.orders == p), Z, (p,), False)
     return _p_rank(max(T.order for T in tori), p)
 
 
@@ -680,23 +779,26 @@ def _dihedral_like(S, twist) -> bool:
 # -- p-subgroup enumeration (for the Brown poset and Sylow counting) ----
 
 def all_p_subgroups(S, p: int) -> list:
-    """All nontrivial p-subgroups of the Group or Subgroup S, in the
-    order found, grown from 1 by normalizing p-elements g, so H<g> =
-    H·<g> is a p-group.  Every K is reached: it has a normal H of index
-    p, and K = H<g> for every g of K outside H."""
+    """All nontrivial p-subgroups of the Group or Subgroup S, in any
+    order, grown from 1 by steps H -> H<g> of index p for p-elements g
+    of S that normalize H with g^p in H, one representative per S-class
+    extended.  Every K is reached: it has a normal H of index p, and
+    K = H<g> for every g of K outside H."""
     S = _as_subgroup(S)
     G = S.parent
     p_elements = G.powers(G.order // _p_prime_part(G.order, p)) == G.identity
-    return _grow(G, _ambient(S, p_elements), G.trivial_subgroup(),
-                 lambda H, cand: _normalizing(G, H.members,
-                                              H.generator_witness, cand))[1:]
+    return _grow(S, _ambient(S, p_elements), G.trivial_subgroup(), (p,),
+                 True)[1:]
 
 
 def abelian_subgroups(S) -> list:
-    """All abelian subgroups of the Group or Subgroup S, in the order
-    found, the trivial one first, by extension over centralizing
-    elements."""
+    """All abelian subgroups of the Group or Subgroup S, the trivial one
+    first and the others in any order, grown by steps H -> H<g> of prime
+    index q for the g of S that centralize H with g^q in H, one
+    representative per S-class extended.  Every abelian K > 1 is
+    reached: it has a subgroup of prime index, which is abelian."""
     S = _as_subgroup(S)
     G = S.parent
-    return _grow(G, S.members, G.trivial_subgroup(),
-                 lambda H, cand: _commuting(G, H.generator_witness, cand))
+    primes = [q for q in range(2, S.order + 1)
+              if S.order % q == 0 and _is_prime(q)]
+    return _grow(S, S.members, G.trivial_subgroup(), primes, False)

@@ -170,11 +170,10 @@ def classify_odd_p_group(P, p: int) -> StructureReport:
     subgroup: either P is elementary abelian, or |P'| = p and P splits as
     (elementary abelian) x (extraspecial of exponent p), both factors
     greedy complements."""
-    if p > gp.TABLE_ORDER_CAP:  # no group built has an order divisible by p
-        raise HypothesisViolated("p odd prime", f"p={p} exceeds the largest "
-                                 f"group order {gp.TABLE_ORDER_CAP}")
-    if p == 2 or not gp._is_prime(p):
-        raise HypothesisViolated("p odd prime", f"p={p}")
+    if p == 2 or not gp.is_prime_within_cap(p):
+        raise HypothesisViolated("p odd prime", (
+            f"p={p} exceeds the largest group order {gp.TABLE_ORDER_CAP}"
+            if p > gp.TABLE_ORDER_CAP else f"p={p}"))
     P, Pp, base = _structure_frame(P, p)
     G = P.parent
 

@@ -10,9 +10,11 @@ faces, facets and the reduced Euler characteristic, each by the direct
 definition; the join and the one-point wedge as explicit
 complexes, the oracle for `join_homology` and `wedge_homology`;
 normalizers, the list of Sylow subgroups and the rank read off every
-torus; the subgroup enumerators' old engine, which asks a member
-predicate (g centralizes H, or g extends the p-subgroup H) once per
-subgroup and candidate, with the Sylow scan built on it; the element
+torus; the subgroup enumerators' old engines: node by node, every
+subgroup extended in its own Python loop by one generator mask test,
+which growth by class representatives replaced, and before it a member
+predicate (g centralizes H, or g extends the p-subgroup H) asked once
+per subgroup and candidate, with the Sylow scan built on it; the element
 tuples of a group, the Cayley table filled a level of the walk at a
 time, and the ids of image rows by a sorted-key search, the engine that
 the one walk of `group_from_generators` replaced; and the group
@@ -396,6 +398,69 @@ def rank_by_predicate(P, p: int) -> int:
                              [gp.omega1(gp.center(P), p).member_set],
                              lambda H, g: _centralizes(G, g, H))
     return gp._p_rank(len(tori[-1]), p)
+
+
+def grow_by_steps(G: Group, amb: list, start: Subgroup, steps) -> list:
+    """Every subgroup reached from ``start`` by steps H -> H<g>, one per
+    coset Hg, for the g outside H that ``steps(H, ids of amb)`` passes:
+    g normalizes H and keeps H<g> = H·<g> in 1 and the ascending ids
+    ``amb``.  Every node is extended in its own Python loop, one node at
+    a time, in the order found: the engine that growth by class
+    representatives replaced.  Each is built once, generated by H's
+    generators and g, ``start`` first."""
+    found, seen, cyclic = [start], {start.member_set}, {}
+    ids = np.array(amb, dtype=np.intp)
+    for H in found:
+        h, done = np.array(H.members, dtype=np.intp)[:, None], set(H.members)
+        for g in steps(H, ids):
+            if g in done:
+                continue
+            if g not in cyclic:
+                cyclic[g] = gp._cyclic_ids(G, g)
+            HG = G.table[h, cyclic[g]]  # column k is the coset Hg^k
+            done.update(HG[:, 1].tolist())
+            K = frozenset(HG.ravel().tolist())
+            if K not in seen:
+                found.append(Subgroup(G, K, H.generator_witness + (g,)))
+                seen.add(found[-1].member_set)
+    return found
+
+
+def _commuting_steps(G: Group):
+    return lambda H, cand: gp._commuting(G, H.generator_witness, cand)
+
+
+def elementary_abelian_subgroups_by_steps(S, p: int) -> list:
+    S = gp._as_subgroup(S)
+    G = S.parent
+    return grow_by_steps(G, gp._ambient(S, G.orders == p),
+                         G.trivial_subgroup(), _commuting_steps(G))[1:]
+
+
+def all_p_subgroups_by_steps(S, p: int) -> list:
+    S = gp._as_subgroup(S)
+    G = S.parent
+    p_elements = G.powers(G.order // gp._p_prime_part(G.order, p)) == 0
+    return grow_by_steps(G, gp._ambient(S, p_elements), G.trivial_subgroup(),
+                         lambda H, cand: gp._normalizing(
+                             G, H.members, H.generator_witness, cand))[1:]
+
+
+def abelian_subgroups_by_steps(S) -> list:
+    S = gp._as_subgroup(S)
+    G = S.parent
+    return grow_by_steps(G, list(S.members), G.trivial_subgroup(),
+                         _commuting_steps(G))
+
+
+def rank_by_steps(P, p: int) -> int:
+    P = gp._as_subgroup(P)
+    if P.order == 1:
+        return 0
+    G = P.parent
+    tori = grow_by_steps(G, gp._ambient(P, G.orders == p),
+                         gp.omega1(gp.center(P), p), _commuting_steps(G))
+    return gp._p_rank(max(T.order for T in tori), p)
 
 
 def sylow_by_predicate(G: Group, p: int) -> Subgroup:

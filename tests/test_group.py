@@ -3,6 +3,7 @@ Sylow theory, quotients, and the p-series."""
 
 import itertools
 import json
+import time
 import tracemalloc
 
 import numpy as np
@@ -170,6 +171,17 @@ def test_is_prime_matches_sympy():
     from sympy import primerange
     assert [n for n in range(-2, 5000) if gp._is_prime(n)] == \
         list(primerange(0, 5000))
+
+
+def test_prime_within_cap_tests_the_cap_first():
+    """A prime past the cap is refused before trial division up to its
+    square root, which would take minutes."""
+    t0 = time.perf_counter()
+    assert not gp.is_prime_within_cap(2**61 - 1)
+    assert time.perf_counter() - t0 < 1.0
+    assert [p for p in range(16370, 16400) if gp.is_prime_within_cap(p)] == \
+        [16381]  # the largest prime at most TABLE_ORDER_CAP = 16384
+    assert not gp.is_prime_within_cap(1) and gp.is_prime_within_cap(2)
 
 
 def test_abelian_cyclic_predicates():
@@ -512,6 +524,77 @@ def test_tori_match_member_predicates_on_c3_4_sd16oc4():
     G = G_of("C3^4:(SD16oC4)")
     assert oracles.member_sets(gp.elementary_abelian_subgroups(G, 2)) == \
         oracles.elementary_abelian_subgroups_by_predicate(G, 2)
+
+
+# -- growth by class representatives against the node-by-node engine ---
+
+def _same_nodes(found, old):
+    """The same node set as the old engine, with no repeats, and every
+    node generated by its witness, conjugated nodes included: the bitset
+    relation reads a node through its witness."""
+    assert len(set(found)) == len(found)  # a poset would hide a repeat
+    assert oracles.member_sets(found) == oracles.member_sets(old)
+    assert all(K.parent.closure(K.generator_witness) == K.member_set
+               for K in found)
+
+
+@pytest.mark.parametrize("name", cs.catalog_names())
+def test_enumerators_match_the_node_by_node_engine(name):
+    G = G_of(name)
+    _same_nodes(gp.abelian_subgroups(G), oracles.abelian_subgroups_by_steps(G))
+    for p in _primes(G.order):
+        P = gp.sylow_subgroup(G, p)
+        for scope in (G, P):
+            _same_nodes(
+                gp.elementary_abelian_subgroups(scope, p),
+                oracles.elementary_abelian_subgroups_by_steps(scope, p))
+            _same_nodes(gp.all_p_subgroups(scope, p),
+                        oracles.all_p_subgroups_by_steps(scope, p))
+        _same_nodes(gp.abelian_subgroups(P),
+                    oracles.abelian_subgroups_by_steps(P))
+        assert gp.rank(P, p) == oracles.rank_by_steps(P, p)
+
+
+def test_searches_inside_a_subgroup_conjugate_by_its_generators_only():
+    """The point stabilizer S3 x S3 of S4 x S3 on 7 points is not normal,
+    so a class conjugated out by the group's generators would leave it."""
+    G = cs.direct_product([G_of("S4"), G_of("S3")])
+    D = gp.Subgroup(G, np.flatnonzero(G.images[:, 0] == 0).tolist())
+    assert D.order == 36 and not gp.is_normal(D)
+    _same_nodes(gp.abelian_subgroups(D), oracles.abelian_subgroups_by_steps(D))
+    for p in (2, 3):
+        _same_nodes(gp.elementary_abelian_subgroups(D, p),
+                    oracles.elementary_abelian_subgroups_by_steps(D, p))
+        _same_nodes(gp.all_p_subgroups(D, p),
+                    oracles.all_p_subgroups_by_steps(D, p))
+    assert all(K <= D for K in gp.abelian_subgroups(D))
+
+
+def test_tori_match_the_node_by_node_engine_at_scale():
+    """A_3 of (C7:C3) x (C13:C3) x C3 x C3 (order 7371): 15187 tori in
+    211 classes."""
+    frobenius = [cs.build(cs.GroupSpec("semidirect_product", {
+        "n": cs.GroupSpec("cyclic", {"order": n}),
+        "h": cs.GroupSpec("cyclic", {"order": 3}),
+        "action": {"gen_images": [[r]]}})) for n, r in ((7, 2), (13, 3))]
+    G = cs.direct_product([*frobenius, cs.cyclic(3), cs.cyclic(3)],
+                          cap=gp.TABLE_ORDER_CAP)
+    found = gp.elementary_abelian_subgroups(G, 3)
+    assert len(found) == 15187
+    _same_nodes(found, oracles.elementary_abelian_subgroups_by_steps(G, 3))
+
+
+def test_growth_in_one_entry_chunks_finds_the_same_nodes(monkeypatch):
+    """With a budget of one entry, each chunk holds one representative
+    and each extension one pair: the same nodes and witnesses."""
+    G = G_of("C3C3:SL(2,3)")
+    calls = [lambda: gp.abelian_subgroups(G),
+             lambda: gp.all_p_subgroups(G, 2),
+             lambda: gp.elementary_abelian_subgroups(G, 3)]
+    whole = [[(K.members, K.generator_witness) for K in f()] for f in calls]
+    monkeypatch.setattr(gp, "GROW_BUDGET", 1)
+    assert [[(K.members, K.generator_witness) for K in f()]
+            for f in calls] == whole
 
 
 @pytest.mark.parametrize("name", cs.catalog_names())
